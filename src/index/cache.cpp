@@ -173,4 +173,16 @@ void ShortcutCache::evict_lru() {
   ++evictions_;
 }
 
+std::vector<const query::Query*> HiddenShortcuts::visible(const ShortcutCache& cache,
+                                                          const Id& node,
+                                                          const query::Query& source) const {
+  std::vector<const query::Query*> found = cache.find(source);
+  std::erase_if(found, [&](const query::Query* target) {
+    return std::any_of(hidden_.begin(), hidden_.end(), [&](const Entry& h) {
+      return h.node == node && *h.target == *target && *h.source == source;
+    });
+  });
+  return found;
+}
+
 }  // namespace dhtidx::index

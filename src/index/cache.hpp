@@ -12,9 +12,9 @@
 // index service), probes resolve the argument to its interned instance first
 // and then work purely on pointer identity -- no canonical-string
 // concatenation or string-keyed hashing on the hot path. The *_interned
-// variants skip even the probe for callers that already hold pool refs (the
-// sharded feed's apply sub-phase, which replays recorded deltas whose refs
-// were resolved once at record/intern time).
+// variants skip even the probe for callers that already hold pool refs:
+// CacheDeltaLog::apply, the one place lookup sessions mutate a cache, whose
+// refs were resolved once at record/intern time.
 //
 // Concurrency contract (DESIGN.md sections 13 and 15): `phase_` is the
 // barrier-phase capability over every mutable structure. During the sharded
@@ -32,6 +32,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/id.hpp"
 #include "common/thread_annotations.hpp"
 #include "query/interner.hpp"
 #include "query/query.hpp"
@@ -88,9 +89,9 @@ class ShortcutCache {
   bool insert(const query::Query& source, const query::Query& target);
 
   /// insert() for callers that already hold refs from this cache's interner
-  /// (the sharded feed's apply sub-phase, LookupEngine's shortcut replay):
-  /// skips the intern probe -- the dominant cost of a guaranteed-duplicate
-  /// re-install -- and works purely on pointer identity.
+  /// (CacheDeltaLog::apply): skips the intern probe -- the dominant cost of
+  /// a guaranteed-duplicate re-install -- and works purely on pointer
+  /// identity.
   bool insert_interned(const query::Query* source, const query::Query* target);
 
   /// Marks the entry as most recently used.
@@ -189,6 +190,31 @@ class ShortcutCache {
   std::uint64_t bytes_ DHTIDX_GUARDED_BY(phase_) = 0;
   std::uint64_t evictions_ DHTIDX_GUARDED_BY(phase_) = 0;
   std::uint64_t invalidations_ DHTIDX_GUARDED_BY(phase_) = 0;
+};
+
+/// The shortcuts one lookup session has invalidated while their erase waits
+/// in a CacheDeltaLog (DESIGN.md section 15.1). A session must not see an
+/// entry it dropped itself, so every shortcut read it makes -- the hit test,
+/// the Table I non-indexed flag, failover usefulness and the wire reply --
+/// goes through visible().
+class HiddenShortcuts {
+ public:
+  /// Hides `node`'s (source, target) entry; both queries must outlive this.
+  void hide(const Id& node, const query::Query& source, const query::Query& target) {
+    hidden_.push_back({node, &source, &target});
+  }
+
+  /// cache.find(source) on `node`, minus the entries hidden there.
+  std::vector<const query::Query*> visible(const ShortcutCache& cache, const Id& node,
+                                           const query::Query& source) const;
+
+ private:
+  struct Entry {
+    Id node;
+    const query::Query* source;
+    const query::Query* target;
+  };
+  std::vector<Entry> hidden_;
 };
 
 }  // namespace dhtidx::index

@@ -17,7 +17,79 @@ namespace {
 const std::vector<IndexNodeState::TargetRef> kNoTargets;
 }
 
+void CacheDeltaLog::reset() {
+  interns.phase_.assert_exclusive();  // same phase structure as the owner
+  interns.reset();
+  for (std::vector<Delta>& queue : queues_) queue.clear();
+  vt_ = 0;
+  seq_ = 0;
+}
+
+void CacheDeltaLog::record(Delta::Kind kind, const Id& node, const Query& source,
+                           const Query& target) {
+  phase_.assert_exclusive();  // one session records at a time, its worker alone
+  interns.phase_.assert_exclusive();
+  Delta delta;
+  delta.vt = vt_;
+  delta.seq = seq_++;
+  delta.kind = kind;
+  delta.node = node;
+  interns.resolve_copy(interner_, source, delta.source, delta.source_pending);
+  interns.resolve_copy(interner_, target, delta.target, delta.target_pending);
+  queues_[shard_of_ ? shard_of_(node) : 0].push_back(delta);
+}
+
+void CacheDeltaLog::apply(const Delta& delta, ShortcutCache& cache,
+                          net::TrafficLedger& ledger, net::MessageBus* bus) const {
+  interns.phase_.assert_shared();  // resolved refs are read-only from here on
+  const Query* source = interns.ref_of(delta.source, delta.source_pending);
+  const Query* target = interns.ref_of(delta.target, delta.target_pending);
+  switch (delta.kind) {
+    case Delta::Kind::kTouch:
+      // An earlier delta may have evicted or invalidated the entry since the
+      // hit; the touch is then a no-op.
+      cache.touch_interned(source, target);
+      break;
+    case Delta::Kind::kInstall:
+      if (cache.insert_interned(source, target)) {
+        ledger.cache.record(source->byte_size() + target->byte_size() +
+                            net::kMessageOverheadBytes);
+        if (bus != nullptr) {
+          net::Message install =
+              net::Message::request(net::Action::kShortcut, Id{}, delta.node);
+          install.payload.push_back(source->canonical());
+          install.payload.push_back(target->canonical());
+          bus->post(std::move(install), [](const net::Message&) {});
+        }
+      }
+      break;
+    case Delta::Kind::kInvalidate:
+      // Idempotent: two sessions of one epoch may have jumped on the same
+      // stale entry; the second erase finds nothing.
+      cache.erase_interned(source, target);
+      break;
+  }
+}
+
 LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_msd) {
+  // Epoch length 1: record into the engine's own log, then intern and apply
+  // it, so the next session sees this one's shortcuts.
+  session_log_.phase_.assert_exclusive();  // the engine's private log
+  session_log_.reset();
+  const LookupOutcome outcome = resolve(initial, target_msd, session_log_);
+  const std::vector<CacheDeltaLog::Delta>& deltas = session_log_.queue(0);
+  if (deltas.empty()) return outcome;
+  session_log_.interns.phase_.assert_exclusive();
+  session_log_.interns.intern_all(service_.interner());
+  net::TrafficLedger& ledger = service_.active_ledger();
+  for (const CacheDeltaLog::Delta& delta : deltas) {
+    session_log_.apply(delta, service_.state_at(delta.node).cache(), ledger, service_.bus());
+  }
+  return outcome;
+}
+
+LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_msd,
+                                    CacheDeltaLog& log) {
   LookupOutcome outcome;
   net::TrafficLedger& ledger = service_.active_ledger();
   // (node, query asked there) for every index node on the successful path;
@@ -31,6 +103,10 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
   // session resumes the normal walk from the jump origin instead of failing.
   std::optional<std::pair<Id, const Query*>> jumped_from;
   std::deque<Query> scratch;
+  // What this session reads of the caches: everything but the entries it
+  // invalidated itself, whose erase waits in the log.
+  HiddenShortcuts hidden;
+  const HiddenShortcuts* cache_view = caching_enabled(config_.policy) ? &hidden : nullptr;
 
   const Query* q = &initial;
   while (outcome.interactions < config_.max_interactions) {
@@ -44,39 +120,30 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
       outcome.visited_nodes.push_back(got.node);
       outcome.found = !got.records->empty();
       if (outcome.found) {
-        create_shortcuts(asked, target_msd);
+        create_shortcuts(asked, target_msd, log);
         break;
       }
       if (jumped_from) {
         // Stale shortcut: the jump promised a file that is not there (crashed
         // or departed storage). Drop the entry so later sessions stop jumping
         // into the void, and fall back to the normal walk from where the jump
-        // happened.
-        if (recorder_ != nullptr) {
-          // Frozen-snapshot mode: the jump itself proves the entry existed in
-          // the epoch snapshot, so the invalidation is recorded and charged
-          // unconditionally; the apply sub-phase's erase is a no-op when two
-          // sessions of one epoch invalidate the same entry.
-          recorder_->record_invalidate(jumped_from->first, *jumped_from->second,
-                                       target_msd);
-          ledger.cache.record(net::kMessageOverheadBytes);  // invalidation notice
-          ++outcome.stale_shortcuts;
-        } else if (IndexNodeState* origin = service_.find_state(jumped_from->first);
-            origin != nullptr &&
-            origin->cache().erase(*jumped_from->second, target_msd)) {
-          ledger.cache.record(net::kMessageOverheadBytes);  // invalidation notice
-          if (net::MessageBus* bus = service_.bus(); bus != nullptr) {
-            // Wire record of the invalidation: a shortcut message with
-            // kNotFound status drops the entry (PROTOCOL.md).
-            net::Message notice = net::Message::request(
-                net::Action::kShortcut, Id{}, jumped_from->first);
-            notice.status = net::Status::kNotFound;
-            notice.payload.push_back(jumped_from->second->canonical());
-            notice.payload.push_back(target_msd.canonical());
-            bus->post(std::move(notice), [](const net::Message&) {});
-          }
-          ++outcome.stale_shortcuts;
+        // happened. The jump proves the entry is in the cache this session
+        // reads, so the notice is charged and sent now; the session stops
+        // seeing the entry at once, the cache when the log is applied.
+        const auto& [origin, source] = *jumped_from;
+        log.record(CacheDeltaLog::Delta::Kind::kInvalidate, origin, *source, target_msd);
+        hidden.hide(origin, *source, target_msd);
+        ledger.cache.record(net::kMessageOverheadBytes);  // invalidation notice
+        if (net::MessageBus* bus = service_.bus(); bus != nullptr) {
+          // Wire record of the invalidation: a shortcut message with
+          // kNotFound status drops the entry (PROTOCOL.md).
+          net::Message notice = net::Message::request(net::Action::kShortcut, Id{}, origin);
+          notice.status = net::Status::kNotFound;
+          notice.payload.push_back(source->canonical());
+          notice.payload.push_back(target_msd.canonical());
+          bus->post(std::move(notice), [](const net::Message&) {});
         }
+        ++outcome.stale_shortcuts;
         outcome.cache_hit = false;
         outcome.cache_hit_position = 0;
         q = jumped_from->second;
@@ -87,7 +154,7 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
       break;
     }
 
-    const auto contact = service_.contact(*q, caching_enabled(config_.policy));
+    const auto contact = service_.contact(*q, cache_view);
     outcome.rpc_failures += contact.rpc_failures;
     ++outcome.interactions;
     outcome.visited_nodes.push_back(contact.node);
@@ -103,9 +170,8 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
     // The shortcut cache is consulted by the node before the regular index;
     // a hit answers with the target descriptor directly.
     bool key_has_cache_entries = false;
-    if (caching_enabled(config_.policy) && contact.state != nullptr) {
-      ShortcutCache& cache = contact.state->cache();
-      const auto cached = cache.find(*q);
+    if (cache_view != nullptr && contact.state != nullptr) {
+      const auto cached = hidden.visible(contact.state->cache(), node, *q);
       key_has_cache_entries = !cached.empty();
       const Query* hit = nullptr;
       for (const Query* t : cached) {
@@ -115,11 +181,7 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
         }
       }
       if (hit != nullptr) {
-        if (recorder_ != nullptr) {
-          recorder_->record_touch(node, *q, target_msd);
-        } else {
-          cache.touch(*q, target_msd);
-        }
+        log.record(CacheDeltaLog::Delta::Kind::kTouch, node, *q, target_msd);
         ledger.cache.record(target_msd.byte_size() + net::kMessageOverheadBytes);
         if (!outcome.cache_hit) {
           outcome.cache_hit = true;
@@ -227,35 +289,15 @@ std::vector<Query> LookupEngine::generalization_candidates(const Query& q) {
 }
 
 void LookupEngine::create_shortcuts(const std::vector<std::pair<Id, const Query*>>& asked,
-                                    const Query& target_msd) {
+                                    const Query& target_msd, CacheDeltaLog& log) {
   if (!caching_enabled(config_.policy) || asked.empty()) return;
-  net::TrafficLedger& ledger = service_.active_ledger();
   net::FailureInjector* failures = service_.failures();
   const std::size_t count = multi_placement(config_.policy) ? asked.size() : 1;
   for (std::size_t i = 0; i < count; ++i) {
     const auto& [node, q] = asked[i];
     if (*q == target_msd) continue;  // no point shortcutting the MSD to itself
     if (failures != nullptr && failures->is_crashed(node)) continue;  // dead, no cache
-    if (recorder_ != nullptr) {
-      // Frozen-snapshot mode: the install intent is recorded; the apply
-      // sub-phase performs the insert in total order and charges the cache
-      // ledger only for deltas that actually create an entry (mirroring the
-      // insert()-returned-true condition below).
-      recorder_->record_install(node, *q, target_msd);
-      continue;
-    }
-    IndexNodeState& state = service_.state_at(node);
-    if (state.cache().insert(*q, target_msd)) {
-      ledger.cache.record(q->byte_size() + target_msd.byte_size() +
-                          net::kMessageOverheadBytes);
-      if (net::MessageBus* bus = service_.bus(); bus != nullptr) {
-        net::Message install =
-            net::Message::request(net::Action::kShortcut, Id{}, node);
-        install.payload.push_back(q->canonical());
-        install.payload.push_back(target_msd.canonical());
-        bus->post(std::move(install), [](const net::Message&) {});
-      }
-    }
+    log.record(CacheDeltaLog::Delta::Kind::kInstall, node, *q, target_msd);
   }
 }
 

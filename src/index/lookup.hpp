@@ -9,15 +9,20 @@
 //   - falls back to generalization when the query is not indexed
 //     ("locating non-indexed data", the source of Table I's error counts),
 //   - creates shortcut entries after success, per the configured policy.
+// Cache mutations go through a CacheDeltaLog, applied at the end of the
+// session or, in the sharded feed, at the end of the epoch.
 //
 // search_all() is the automated mode: it exhaustively explores the index
 // below a query and returns every reachable MSD, for applications that want
 // full result sets rather than a directed walk.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/id.hpp"
+#include "common/thread_annotations.hpp"
 #include "index/cache.hpp"
 #include "index/service.hpp"
 #include "query/query.hpp"
@@ -25,29 +30,80 @@
 
 namespace dhtidx::index {
 
-/// Record-don't-mutate hook for shard-concurrent caching feeds (DESIGN.md
-/// section 15). While attached to a LookupEngine, resolve() treats every
-/// shortcut cache as a frozen read-only snapshot: instead of touching,
-/// installing or erasing entries it reports the intended mutation here, and
-/// the sharded feed replays the recorded deltas against the owning node's
-/// cache -- in the feed's (virtual-time, seq) total order -- during the apply
-/// sub-phase. The queries passed in live for the duration of the call only;
-/// implementations resolve or copy them before returning.
-class CacheDeltaRecorder {
+/// The shortcut-cache mutations lookup sessions record (DESIGN.md section
+/// 15.1). resolve() never mutates a cache while it walks: every touch,
+/// install and invalidation becomes a (vt, seq)-tagged delta -- vt the
+/// session's virtual time, seq its emission order within the session --
+/// queued for the shard that owns the delta's node, and queries the shared
+/// pool has not seen become intern requests. A log reaches the caches in two
+/// steps: interns.intern_all() (serial), then apply() on every delta in
+/// (vt, seq) order. resolve() without a log runs exactly that on the
+/// engine's own log before it returns (epoch length 1); the sharded feed
+/// hands each worker an epoch log and applies them all at the barrier.
+class CacheDeltaLog {
  public:
-  virtual ~CacheDeltaRecorder() = default;
+  struct Delta {
+    enum class Kind : std::uint8_t {
+      kTouch,       ///< a hit promoted the entry to most recently used
+      kInstall,     ///< shortcut creation after a successful session
+      kInvalidate,  ///< a failed jump dropped the stale entry
+    };
 
-  /// A cache hit would have promoted (source, target) to most recently used.
-  virtual void record_touch(const Id& node, const query::Query& source,
-                            const query::Query& target) = 0;
+    std::uint64_t vt = 0;
+    std::uint32_t seq = 0;
+    Kind kind = Kind::kTouch;
+    Id node;  ///< the node whose cache this delta applies to
+    // Interned refs when the query was pooled at record time, else slots in
+    // the log's intern requests.
+    const query::Query* source = nullptr;
+    const query::Query* target = nullptr;
+    std::uint32_t source_pending = query::InternRequests::kNoPending;
+    std::uint32_t target_pending = query::InternRequests::kNoPending;
+  };
 
-  /// Shortcut creation after success would have inserted (source, target).
-  virtual void record_install(const Id& node, const query::Query& source,
-                              const query::Query& target) = 0;
+  /// Records against `interner` (probe-only). `shard_of` maps a node to the
+  /// shard owning its cache, one queue per shard; without it there is one.
+  explicit CacheDeltaLog(const query::QueryInterner& interner, std::size_t shards = 1,
+                         std::function<std::size_t(const Id&)> shard_of = {})
+      : interner_(interner), shard_of_(std::move(shard_of)), queues_(shards) {}
 
-  /// A failed jump would have invalidated the stale (source, target) entry.
-  virtual void record_invalidate(const Id& node, const query::Query& source,
-                                 const query::Query& target) = 0;
+  /// Phase capability over the buffers: exclusive while one session records
+  /// (the owning worker) and while the driver interns; shared during apply,
+  /// where every applier reads any log's queues.
+  PhaseCapability phase_;
+  query::InternRequests interns;
+
+  /// Empties the log for the next epoch, keeping its buffers.
+  void reset() DHTIDX_REQUIRES(phase_);
+
+  /// Stamps the virtual time of the session about to record.
+  void begin_session(std::uint64_t vt) DHTIDX_REQUIRES(phase_) {
+    vt_ = vt;
+    seq_ = 0;
+  }
+
+  void record(Delta::Kind kind, const Id& node, const query::Query& source,
+              const query::Query& target);
+
+  /// The deltas addressed to `shard`, (vt, seq)-sorted by construction.
+  const std::vector<Delta>& queue(std::size_t shard) const DHTIDX_REQUIRES_SHARED(phase_) {
+    return queues_[shard];
+  }
+
+  /// Applies one of this log's deltas to `cache`, the cache of delta.node,
+  /// once the interns are resolved: the only place a session's shortcut
+  /// mutations reach a cache. An install charges `ledger` and posts the
+  /// kShortcut message on `bus` (when attached) only when it creates an
+  /// entry; the invalidation notice was charged and posted when recorded.
+  void apply(const Delta& delta, ShortcutCache& cache, net::TrafficLedger& ledger,
+             net::MessageBus* bus) const DHTIDX_REQUIRES_SHARED(phase_);
+
+ private:
+  const query::QueryInterner& interner_;
+  std::function<std::size_t(const Id&)> shard_of_;
+  std::vector<std::vector<Delta>> queues_ DHTIDX_GUARDED_BY(phase_);
+  std::uint64_t vt_ DHTIDX_GUARDED_BY(phase_) = 0;
+  std::uint32_t seq_ DHTIDX_GUARDED_BY(phase_) = 0;
 };
 
 /// Lookup behaviour configuration.
@@ -83,22 +139,23 @@ class LookupEngine {
  public:
   /// All references must outlive the engine.
   LookupEngine(IndexService& service, storage::DhtStore& store, LookupConfig config)
-      : service_(service), store_(store), config_(config) {}
+      : service_(service), store_(store), config_(config), session_log_(service.interner()) {}
 
   const LookupConfig& config() const { return config_; }
 
   /// Resolves the article whose MSD is `target_msd`, starting from `initial`.
   /// `initial` must cover `target_msd` (the user's query matches the article
   /// they want); otherwise the lookup fails cleanly with found == false.
+  /// The session's cache mutations are applied before this returns, so each
+  /// session sees every earlier one's shortcuts (the sequential feed).
   LookupOutcome resolve(const query::Query& initial, const query::Query& target_msd);
 
-  /// Attaches (or detaches, with nullptr) the record-don't-mutate hook.
-  /// While set, resolve() performs no cache mutation: hits, installs and
-  /// invalidations are reported to the recorder instead, and the caller is
-  /// responsible for replaying them (and for charging install traffic for
-  /// the deltas that actually create entries). Sequential callers never set
-  /// this; the sharded feed sets one per worker for its lookup sub-phase.
-  void set_cache_recorder(CacheDeltaRecorder* recorder) { recorder_ = recorder; }
+  /// resolve() against frozen caches: the session's cache mutations are
+  /// recorded into `log` under its current session stamp and reach no cache
+  /// until the caller applies the log (the sharded feed's lookup sub-phase).
+  /// Either way a session never sees a shortcut it invalidated itself.
+  LookupOutcome resolve(const query::Query& initial, const query::Query& target_msd,
+                        CacheDeltaLog& log);
 
   /// Failure bookkeeping for one exhaustive search. When branches of the
   /// index tree sat on unreachable nodes the result set is partial
@@ -142,12 +199,12 @@ class LookupEngine {
                                         SearchStats* stats);
 
   void create_shortcuts(const std::vector<std::pair<Id, const query::Query*>>& asked,
-                        const query::Query& target_msd);
+                        const query::Query& target_msd, CacheDeltaLog& log);
 
   IndexService& service_;
   storage::DhtStore& store_;
   LookupConfig config_;
-  CacheDeltaRecorder* recorder_ = nullptr;
+  CacheDeltaLog session_log_;  ///< the epoch-length-1 log of resolve()
 };
 
 }  // namespace dhtidx::index

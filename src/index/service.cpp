@@ -72,7 +72,7 @@ void IndexService::wire_publish(net::Action action, const Id& node,
 }
 
 void IndexService::wire_lookup(const query::Query& q, const Id& node,
-                               net::Action action, bool consider_cache) {
+                               net::Action action, const HiddenShortcuts* cache) {
   bus_->exchange(wire_request(action, node, q), [&](const net::Message& m) {
     // Serve from the contacted node's live state at delivery time.
     net::Message response = net::Message::response_to(m);
@@ -80,8 +80,8 @@ void IndexService::wire_lookup(const query::Query& q, const Id& node,
       for (const IndexNodeState::TargetRef& ref : state->targets_of(q)) {
         response.payload.push_back(ref.target->canonical());
       }
-      if (consider_cache) {
-        for (const query::Query* t : state->cache().find(q)) {
+      if (cache != nullptr) {
+        for (const query::Query* t : cache->visible(state->cache(), m.to, q)) {
           response.payload.push_back(t->canonical());
         }
       }
@@ -187,7 +187,7 @@ bool IndexService::remove_interned(const query::Query* source, const query::Quer
 }
 
 IndexService::ContactResult IndexService::contact(const query::Query& q,
-                                                  bool consider_cache,
+                                                  const HiddenShortcuts* cache,
                                                   net::Action action) {
   const Id key = q.key();
   const dht::LookupResult primary = dht_.lookup(key);
@@ -200,7 +200,7 @@ IndexService::ContactResult IndexService::contact(const query::Query& q,
     // Seed-identical fast path: one substrate lookup, one query message, the
     // responsible node answers whatever it has.
     net::active(ledger_).queries.record(request_bytes);
-    if (bus_ != nullptr) wire_lookup(q, primary.node, action, consider_cache);
+    if (bus_ != nullptr) wire_lookup(q, primary.node, action, cache);
     result.replicas_tried = 1;
     result.state = find_state(primary.node);
     return result;
@@ -225,11 +225,12 @@ IndexService::ContactResult IndexService::contact(const query::Query& q,
     }
     ++contacted;
     net::active(ledger_).queries.record(request_bytes);
-    if (bus_ != nullptr) wire_lookup(q, replica, action, consider_cache);
+    if (bus_ != nullptr) wire_lookup(q, replica, action, cache);
     IndexNodeState* state = find_state(replica);
     const bool useful =
         state != nullptr &&
-        (state->has_source(q) || (consider_cache && !state->cache().find(q).empty()));
+        (state->has_source(q) ||
+         (cache != nullptr && !cache->visible(state->cache(), replica, q).empty()));
     if (useful) {
       result.state = state;
       result.node = replica;
@@ -253,7 +254,7 @@ IndexService::ContactResult IndexService::contact(const query::Query& q,
 }
 
 IndexService::Reply IndexService::lookup(const query::Query& q, net::Action action) {
-  const ContactResult contacted = contact(q, /*consider_cache=*/false, action);
+  const ContactResult contacted = contact(q, /*cache=*/nullptr, action);
   Reply reply;
   reply.node = contacted.node;
   reply.hops = contacted.hops;

@@ -90,7 +90,9 @@ class IndexService {
     int replicas_tried = 0;   ///< replicas successfully contacted
     bool unreachable = false; ///< no replica answered within the budget
   };
-  ContactResult contact(const query::Query& q, bool consider_cache,
+  /// `cache` (when non-null) makes the node's shortcut bucket for q count
+  /// as an answer, minus the entries the calling session has hidden.
+  ContactResult contact(const query::Query& q, const HiddenShortcuts* cache,
                         net::Action action = net::Action::kLookup);
 
   /// The "lookup(q)" operation of Section IV: all queries qi with a mapping
@@ -221,9 +223,9 @@ class IndexService {
 
   /// Runs the lookup RPC for `q` against `node` over the bus: request out,
   /// response built from the node's live index state (and shortcut bucket
-  /// when `consider_cache`) at delivery time.
+  /// seen through `cache`, when non-null) at delivery time.
   void wire_lookup(const query::Query& q, const Id& node, net::Action action,
-                   bool consider_cache);
+                   const HiddenShortcuts* cache);
 
   /// Builds the request leg of an index RPC carrying `q` (client → node).
   net::Message wire_request(net::Action action, const Id& node,

@@ -24,9 +24,12 @@
 // phase.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/thread_annotations.hpp"
 #include "query/query.hpp"
@@ -83,6 +86,93 @@ class QueryInterner {
   // dhtidx-lint: allow(hot-path-map) "hash arena keyed by canonical form; iteration order is never observed, so determinism is unaffected"
   std::unordered_map<std::string_view, std::unique_ptr<const Query>> pool_
       DHTIDX_GUARDED_BY(intern_phase_);
+};
+
+/// Epoch-scoped intern requests, shared by the sharded build's producers and
+/// the lookup engine's cache-delta logs: the new (not yet pooled) queries a
+/// worker emitted this epoch, in emission order, deduplicated by canonical
+/// form, and resolved to interned refs by the serial intern sub-phase
+/// between the parallel phases (DESIGN.md sections 12 and 15).
+struct InternRequests {
+  /// Marks a ref that was pooled at emission time (no pending slot).
+  static constexpr std::uint32_t kNoPending = 0xFFFFFFFFu;
+
+  /// Phase capability over the buffers: exclusive while the owning worker
+  /// fills them (produce/lookup sub-phases) and while the driver interns
+  /// (serial sub-phase); shared during apply, where any worker may read any
+  /// owner's resolved refs concurrently — and must never mutate them.
+  PhaseCapability phase_;
+  /// New queries, in emission order.
+  std::vector<Query> pending DHTIDX_GUARDED_BY(phase_);
+  /// canonical -> idx into pending. Exact-key probes only.
+  // dhtidx-lint: allow(hot-path-map) "exact-key dedup probe table, never iterated; cleared every epoch"
+  std::unordered_map<std::string, std::uint32_t> pending_index DHTIDX_GUARDED_BY(phase_);
+  /// pending[i] -> interned ref.
+  std::vector<const Query*> resolved DHTIDX_GUARDED_BY(phase_);
+
+  void reset() DHTIDX_REQUIRES(phase_) {
+    pending.clear();
+    pending_index.clear();
+    resolved.clear();
+  }
+
+  /// Resolves `q` to either an already-pooled ref (read-only interner probe)
+  /// or a worker-local pending slot. The probe is safe concurrently: the
+  /// pool only grows in the serial intern sub-phase between parallel phases.
+  void resolve(const QueryInterner& interner, Query&& q, const Query*& ref,
+               std::uint32_t& pending_slot) DHTIDX_REQUIRES(phase_) {
+    if (const Query* existing = interner.find_existing(q)) {
+      ref = existing;
+      pending_slot = kNoPending;
+      return;
+    }
+    enqueue(std::move(q), ref, pending_slot);
+  }
+
+  /// resolve() without taking ownership: probes first and copies `q` only
+  /// when it is genuinely new — the common case (an interned query flowing
+  /// back through a recorded delta) costs one probe and zero copies.
+  void resolve_copy(const QueryInterner& interner, const Query& q, const Query*& ref,
+                    std::uint32_t& pending_slot) DHTIDX_REQUIRES(phase_) {
+    if (const Query* existing = interner.find_existing(q)) {
+      ref = existing;
+      pending_slot = kNoPending;
+      return;
+    }
+    enqueue(Query{q}, ref, pending_slot);
+  }
+
+  /// The serial intern sub-phase: the only writes the shared pool ever sees.
+  /// intern() probes before inserting, so the same query pending in several
+  /// workers resolves to one instance.
+  void intern_all(QueryInterner& interner) DHTIDX_REQUIRES(phase_) {
+    resolved.reserve(pending.size());
+    for (Query& q : pending) {
+      resolved.push_back(interner.intern(std::move(q)));
+    }
+  }
+
+  /// The ref an operation resolved at emission time, or its post-intern
+  /// resolution when the query was new this epoch.
+  const Query* ref_of(const Query* direct, std::uint32_t pending_slot) const
+      DHTIDX_REQUIRES_SHARED(phase_) {
+    return direct != nullptr ? direct : resolved[pending_slot];
+  }
+
+ private:
+  void enqueue(Query&& q, const Query*& ref, std::uint32_t& pending_slot)
+      DHTIDX_REQUIRES(phase_) {
+    const std::string canonical = q.canonical();
+    const auto it = pending_index.find(canonical);
+    ref = nullptr;
+    if (it != pending_index.end()) {
+      pending_slot = it->second;
+      return;
+    }
+    pending_slot = static_cast<std::uint32_t>(pending.size());
+    pending_index.emplace(canonical, pending_slot);
+    pending.push_back(std::move(q));
+  }
 };
 
 }  // namespace dhtidx::query

@@ -8,7 +8,6 @@
 #include <set>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -51,92 +50,7 @@ constexpr std::size_t kBuildEpoch = 8192;
 /// hundreds of sessions of parallel work per barrier.
 constexpr std::size_t kFeedEpoch = 1024;
 
-constexpr std::uint32_t kNoPending = 0xFFFFFFFFu;
-
-/// Epoch-scoped intern requests, shared by build producers and feed
-/// recorders: the new (not yet pooled) queries a worker emitted this epoch,
-/// in emission order, deduplicated by canonical form, and resolved to
-/// interned refs by the serial intern sub-phase between the parallel phases.
-struct InternRequests {
-  /// Phase capability over the buffers: exclusive while the owning worker
-  /// fills them (produce/lookup sub-phases) and while the driver interns
-  /// (serial sub-phase); shared during apply, where any worker may read any
-  /// owner's resolved refs concurrently — and must never mutate them.
-  PhaseCapability phase_;
-  /// New queries, in emission order.
-  std::vector<Query> pending DHTIDX_GUARDED_BY(phase_);
-  /// canonical -> idx into pending. Exact-key probes only.
-  // dhtidx-lint: allow(hot-path-map) "exact-key dedup probe table, never iterated; cleared every epoch"
-  std::unordered_map<std::string, std::uint32_t> pending_index DHTIDX_GUARDED_BY(phase_);
-  /// pending[i] -> interned ref.
-  std::vector<const Query*> resolved DHTIDX_GUARDED_BY(phase_);
-
-  void reset() DHTIDX_REQUIRES(phase_) {
-    pending.clear();
-    pending_index.clear();
-    resolved.clear();
-  }
-
-  /// Resolves `q` to either an already-pooled ref (read-only interner probe)
-  /// or a worker-local pending slot. The probe is safe concurrently: the
-  /// pool only grows in the serial intern sub-phase between parallel phases.
-  void resolve(const query::QueryInterner& interner, Query&& q, const Query*& ref,
-               std::uint32_t& pending_slot) DHTIDX_REQUIRES(phase_) {
-    if (const Query* existing = interner.find_existing(q)) {
-      ref = existing;
-      pending_slot = kNoPending;
-      return;
-    }
-    enqueue(std::move(q), ref, pending_slot);
-  }
-
-  /// resolve() without taking ownership: probes first and copies `q` only
-  /// when it is genuinely new — the common case (an interned query flowing
-  /// back through a recorded delta) costs one probe and zero copies.
-  void resolve_copy(const query::QueryInterner& interner, const Query& q,
-                    const Query*& ref, std::uint32_t& pending_slot)
-      DHTIDX_REQUIRES(phase_) {
-    if (const Query* existing = interner.find_existing(q)) {
-      ref = existing;
-      pending_slot = kNoPending;
-      return;
-    }
-    enqueue(Query{q}, ref, pending_slot);
-  }
-
-  /// The serial intern sub-phase: the only writes the shared pool ever sees.
-  /// intern() probes before inserting, so the same query pending in several
-  /// workers resolves to one instance.
-  void intern_all(query::QueryInterner& interner) DHTIDX_REQUIRES(phase_) {
-    resolved.reserve(pending.size());
-    for (Query& q : pending) {
-      resolved.push_back(interner.intern(std::move(q)));
-    }
-  }
-
-  /// The ref an operation resolved at emission time, or its post-intern
-  /// resolution when the query was new this epoch.
-  const Query* ref_of(const Query* direct, std::uint32_t pending_slot) const
-      DHTIDX_REQUIRES_SHARED(phase_) {
-    return direct != nullptr ? direct : resolved[pending_slot];
-  }
-
- private:
-  void enqueue(Query&& q, const Query*& ref, std::uint32_t& pending_slot)
-      DHTIDX_REQUIRES(phase_) {
-    const std::string canonical = q.canonical();
-    const auto it = pending_index.find(canonical);
-    if (it != pending_index.end()) {
-      ref = nullptr;
-      pending_slot = it->second;
-      return;
-    }
-    pending_slot = static_cast<std::uint32_t>(pending.size());
-    pending_index.emplace(canonical, pending_slot);
-    pending.push_back(std::move(q));
-    ref = nullptr;
-  }
-};
+constexpr std::uint32_t kNoPending = query::InternRequests::kNoPending;
 
 /// One build-phase operation, totally ordered by (vt, seq): vt is the global
 /// article index (disjoint across producers), seq the emission order within
@@ -154,30 +68,6 @@ struct Op {
   // Publish ops: interned refs when the query was already pooled when the
   // producer saw it, else indices into the producer's epoch intern requests
   // (resolved by the serial intern sub-phase).
-  const Query* source = nullptr;
-  const Query* target = nullptr;
-  std::uint32_t source_pending = kNoPending;
-  std::uint32_t target_pending = kNoPending;
-};
-
-/// One recorded cache mutation of the caching feed, totally ordered by
-/// (vt, seq): vt is the global query index (disjoint across feed workers),
-/// seq the emission order within the session. Replaying a cache's deltas in
-/// this order reproduces the order a sequential pass over the epoch — serving
-/// every session against the same frozen snapshot — would have mutated it.
-struct CacheDelta {
-  enum class Kind : std::uint8_t {
-    kTouch,       ///< a hit promoted the entry to most recently used
-    kInstall,     ///< shortcut creation after a successful session
-    kInvalidate,  ///< a failed jump dropped the stale entry
-  };
-
-  std::uint64_t vt = 0;
-  std::uint32_t seq = 0;
-  Kind kind = Kind::kTouch;
-  Id node;  ///< the node whose cache this delta applies to
-  // Interned refs when the query was pooled at record time, else indices
-  // into the recorder's epoch intern requests.
   const Query* source = nullptr;
   const Query* target = nullptr;
   std::uint32_t source_pending = kNoPending;
@@ -217,7 +107,7 @@ struct Producer {
   /// "no move-on-last-replica fast path" rule below).
   PhaseCapability phase_;
   std::vector<storage::Record> records DHTIDX_GUARDED_BY(phase_);
-  InternRequests interns;
+  query::InternRequests interns;
   /// One queue per owner shard, (vt,seq)-sorted by construction.
   std::vector<std::vector<Op>> queues DHTIDX_GUARDED_BY(phase_);
 
@@ -227,73 +117,6 @@ struct Producer {
     interns.reset();
     queues.assign(shards, {});
   }
-};
-
-/// Per-feed-worker epoch state: the record-don't-mutate hook attached to the
-/// worker's LookupEngine during the lookup sub-phase. Every intended cache
-/// mutation is tagged with the session's virtual time and binned by the
-/// owner shard of the node it applies to; queries not yet in the shared pool
-/// become intern requests, exactly like the build's publish operations.
-class FeedRecorder final : public index::CacheDeltaRecorder {
- public:
-  FeedRecorder(const query::QueryInterner& interner, const ShardMap& shard_map)
-      : interner_(interner), shard_map_(shard_map) {}
-
-  /// Phase capability over the epoch buffers: exclusive during the lookup
-  /// sub-phase (worker-private) and the serial intern sub-phase; shared
-  /// during apply, where every applier reads any recorder's queues.
-  PhaseCapability phase_;
-  InternRequests interns;
-  /// One queue per owner shard, (vt,seq)-sorted by construction.
-  std::vector<std::vector<CacheDelta>> queues DHTIDX_GUARDED_BY(phase_);
-
-  void reset(std::size_t shards) DHTIDX_REQUIRES(phase_) {
-    interns.phase_.assert_exclusive();  // same phase structure as the owner
-    interns.reset();
-    queues.assign(shards, {});
-    vt_ = 0;
-    seq_ = 0;
-  }
-
-  /// Stamps the virtual time of the session about to run; deltas emitted
-  /// until the next call carry (query_index, running seq).
-  void begin_session(std::uint64_t query_index) DHTIDX_REQUIRES(phase_) {
-    vt_ = query_index;
-    seq_ = 0;
-  }
-
-  void record_touch(const Id& node, const Query& source, const Query& target) override {
-    push(CacheDelta::Kind::kTouch, node, source, target);
-  }
-
-  void record_install(const Id& node, const Query& source, const Query& target) override {
-    push(CacheDelta::Kind::kInstall, node, source, target);
-  }
-
-  void record_invalidate(const Id& node, const Query& source,
-                         const Query& target) override {
-    push(CacheDelta::Kind::kInvalidate, node, source, target);
-  }
-
- private:
-  void push(CacheDelta::Kind kind, const Id& node, const Query& source,
-            const Query& target) {
-    phase_.assert_exclusive();  // lookup sub-phase: the worker is the sole owner
-    interns.phase_.assert_exclusive();
-    CacheDelta delta;
-    delta.vt = vt_;
-    delta.seq = seq_++;
-    delta.kind = kind;
-    delta.node = node;
-    interns.resolve_copy(interner_, source, delta.source, delta.source_pending);
-    interns.resolve_copy(interner_, target, delta.target, delta.target_pending);
-    queues[shard_map_.shard_of(node)].push_back(delta);
-  }
-
-  const query::QueryInterner& interner_;
-  const ShardMap& shard_map_;
-  std::uint64_t vt_ DHTIDX_GUARDED_BY(phase_) = 0;
-  std::uint32_t seq_ DHTIDX_GUARDED_BY(phase_) = 0;
 };
 
 /// Runs `body(0..count-1)` on `count` workers; inline when count == 1 (the
@@ -350,47 +173,120 @@ void merge_by_virtual_time(const std::vector<const std::vector<T>*>& queues, Fn&
   }
 }
 
-/// Per-feed-worker accumulator: integer sums and a private traffic ledger,
-/// both folded after the final barrier. Merging is commutative and exact, so
-/// the totals match a one-worker feed bit for bit.
-struct FeedAccumulator {
-  std::uint64_t interactions = 0;
-  std::uint64_t generalizations = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t first_node_hits = 0;
-  std::uint64_t rpc_failures = 0;
-  std::size_t failed_lookups = 0;
-  std::size_t non_indexed = 0;
-  std::size_t degraded = 0;
-  std::size_t gave_up = 0;
-  std::size_t unreachable = 0;
-  std::size_t stale_shortcuts = 0;
-  /// Unique-node touches per session; folded into FeedTotals::node_touches.
-  // dhtidx-lint: allow(hot-path-map) "merged once per feed; sorted iteration drives deterministic load fractions"
-  std::map<Id, std::uint64_t> node_touches;
-  net::TrafficLedger ledger;
-
-  void fold_outcome(const index::LookupOutcome& outcome) {
-    interactions += static_cast<std::uint64_t>(outcome.interactions);
-    generalizations += static_cast<std::uint64_t>(outcome.generalization_steps);
-    if (!outcome.found) ++failed_lookups;
-    if (outcome.non_indexed) ++non_indexed;
-    if (outcome.cache_hit) {
-      ++hits;
-      if (outcome.cache_hit_position == 1) ++first_node_hits;
-    }
-    rpc_failures += static_cast<std::uint64_t>(outcome.rpc_failures);
-    if (outcome.degraded) ++degraded;
-    if (outcome.gave_up) ++gave_up;
-    if (outcome.unreachable) ++unreachable;
-    stale_shortcuts += static_cast<std::size_t>(outcome.stale_shortcuts);
-    const std::set<Id> unique_nodes(outcome.visited_nodes.begin(),
-                                    outcome.visited_nodes.end());
-    for (const Id& node : unique_nodes) ++node_touches[node];
-  }
-};
-
 }  // namespace
+
+void FeedTotals::fold(const index::LookupOutcome& outcome) {
+  interactions += static_cast<std::uint64_t>(outcome.interactions);
+  generalizations += static_cast<std::uint64_t>(outcome.generalization_steps);
+  if (!outcome.found) ++failed_lookups;
+  if (outcome.non_indexed) ++non_indexed;
+  if (outcome.cache_hit) {
+    ++hits;
+    if (outcome.cache_hit_position == 1) ++first_node_hits;
+  }
+  rpc_failures += static_cast<std::uint64_t>(outcome.rpc_failures);
+  if (outcome.degraded) ++degraded;
+  if (outcome.gave_up) ++gave_up;
+  if (outcome.unreachable) ++unreachable;
+  stale_shortcuts += static_cast<std::size_t>(outcome.stale_shortcuts);
+  const std::set<Id> unique_nodes(outcome.visited_nodes.begin(), outcome.visited_nodes.end());
+  for (const Id& node : unique_nodes) ++node_touches[node];
+}
+
+void FeedTotals::merge(const FeedTotals& other) {
+  interactions += other.interactions;
+  generalizations += other.generalizations;
+  hits += other.hits;
+  first_node_hits += other.first_node_hits;
+  rpc_failures += other.rpc_failures;
+  failed_lookups += other.failed_lookups;
+  non_indexed += other.non_indexed;
+  degraded += other.degraded;
+  gave_up += other.gave_up;
+  unreachable += other.unreachable;
+  stale_shortcuts += other.stale_shortcuts;
+  for (const auto& [node, touches] : other.node_touches) node_touches[node] += touches;
+  ledger.merge(other.ledger);
+}
+
+void collect_results(const SimulationConfig& config, const FeedTotals& feed,
+                     const net::TrafficLedger& ledger, const dht::Dht& dht,
+                     const index::IndexService& service,
+                     const storage::DhtStore& store, SimulationResults& r) {
+  r.scheme = config.scheme;
+  r.policy = config.policy;
+  r.cache_capacity = config.cache_capacity;
+  r.nodes = config.nodes;
+  r.queries = config.queries;
+  r.replication = config.replication;
+  r.transport = config.transport;
+  r.peak_rss_bytes = dhtidx::peak_rss_bytes();
+
+  r.rpc_failures = feed.rpc_failures;
+  r.failed_lookups = feed.failed_lookups;
+  r.non_indexed_queries = feed.non_indexed;
+  r.degraded_sessions = feed.degraded;
+  r.gave_up_sessions = feed.gave_up;
+  r.unreachable_sessions = feed.unreachable;
+  r.stale_shortcut_invalidations = feed.stale_shortcuts;
+
+  const double n_queries = static_cast<double>(config.queries);
+  r.avg_interactions = static_cast<double>(feed.interactions) / n_queries;
+  r.avg_generalization_steps = static_cast<double>(feed.generalizations) / n_queries;
+  r.normal_traffic_per_query = static_cast<double>(ledger.normal_bytes()) / n_queries;
+  r.cache_traffic_per_query = static_cast<double>(ledger.cache.bytes()) / n_queries;
+  r.hit_ratio = static_cast<double>(feed.hits) / n_queries;
+  r.first_node_hit_share =
+      feed.hits == 0 ? 0.0
+                     : static_cast<double>(feed.first_node_hits) /
+                           static_cast<double>(feed.hits);
+  r.ledger = ledger;
+
+  // Cache occupancy across *all* nodes, including ones that never stored a
+  // shortcut (the paper reports 4.4% completely empty caches).
+  std::uint64_t cached_total = 0;
+  std::size_t full = 0;
+  std::size_t empty = 0;
+  std::size_t max_cached = 0;
+  const std::vector<Id> nodes = dht.node_ids();
+  for (const Id& node : nodes) {
+    std::size_t size = 0;
+    if (const index::IndexNodeState* state = service.find_state(node); state != nullptr) {
+      size = state->cache().size();
+    }
+    cached_total += size;
+    max_cached = std::max(max_cached, size);
+    if (size == 0) ++empty;
+    if (config.cache_capacity != 0 && size >= config.cache_capacity) ++full;
+  }
+  const double n_nodes = static_cast<double>(nodes.size());
+  r.avg_cached_keys_per_node = static_cast<double>(cached_total) / n_nodes;
+  r.max_cached_keys = max_cached;
+  r.full_cache_fraction = static_cast<double>(full) / n_nodes;
+  r.empty_cache_fraction = static_cast<double>(empty) / n_nodes;
+
+  // Regular keys: index keys plus stored data keys, averaged over all nodes.
+  const index::IndexService::Totals totals = service.totals();
+  std::size_t stored_keys = 0;
+  for (const auto& [node, node_store] : store.node_stores()) {
+    stored_keys += node_store.key_count();
+  }
+  r.avg_regular_keys_per_node = static_cast<double>(totals.keys + stored_keys) / n_nodes;
+  r.index_keys = totals.keys;
+  r.index_mappings = totals.mappings;
+  r.index_bytes = totals.bytes;
+  r.data_bytes = store.total_bytes();
+
+  // Figure 15: per-node share of queries, busiest first.
+  r.node_load_fractions.reserve(nodes.size());
+  for (const Id& node : nodes) {
+    const auto it = feed.node_touches.find(node);
+    const double touches =
+        it == feed.node_touches.end() ? 0.0 : static_cast<double>(it->second);
+    r.node_load_fractions.push_back(touches / n_queries);
+  }
+  std::sort(r.node_load_fractions.begin(), r.node_load_fractions.end(), std::greater<>());
+}
 
 void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
                            index::IndexService& service, storage::DhtStore& store,
@@ -522,145 +418,102 @@ FeedTotals feed_streaming_world(const SimulationConfig& config, dht::Dht& dht,
                                 storage::DhtStore& store,
                                 const workload::StreamingWorkload& workload) {
   const std::size_t shards = std::max<std::size_t>(config.shards, 1);
-  std::vector<FeedAccumulator> accumulators(shards);
-  std::vector<net::TrafficLedger> apply_ledgers(shards);
+  std::vector<FeedTotals> accumulators(shards);
 
   if (!caching_enabled(config.policy)) {
     // Cacheless feed: sessions are read-only on all shared state, so one
     // parallel pass over the whole feed suffices — no epochs, no barriers.
     run_workers(shards, [&](std::size_t w) {
-      FeedAccumulator& acc = accumulators[w];
+      FeedTotals& acc = accumulators[w];
       const net::ScopedLedgerOverride scope{&acc.ledger};
       index::LookupEngine engine{service, store, {config.policy}};
       for (std::size_t i = 0; i < config.queries; ++i) {
         if (i % shards != w) continue;
         const workload::StreamingRequest request = workload.request_at(i);
-        acc.fold_outcome(engine.resolve(request.query, request.target_msd));
+        acc.fold(engine.resolve(request.query, request.target_msd));
       }
     });
   } else {
     // Caching feed: bulk-synchronous query epochs (DESIGN.md section 15).
     // Sessions read the shortcut caches as a frozen snapshot and record
-    // their intended mutations; the apply sub-phase replays the deltas in
-    // (vt, seq) order, so every cache evolves in the exact order a
-    // sequential pass over the epochs would have produced — for every S,
-    // including S = 1.
+    // their mutations into per-worker epoch logs; the apply sub-phase
+    // replays the deltas in (vt, seq) order, so every cache evolves in the
+    // exact order a sequential pass over the epochs would have produced —
+    // for every S, including S = 1.
     const ShardMap shard_map{dht.node_ids(), shards};
     query::QueryInterner& interner = service.interner();
-    std::vector<FeedRecorder> recorders;
-    recorders.reserve(shards);
+    std::vector<index::CacheDeltaLog> logs;
+    logs.reserve(shards);
     for (std::size_t w = 0; w < shards; ++w) {
-      recorders.emplace_back(interner, shard_map);
+      logs.emplace_back(interner, shards,
+                        [&shard_map](const Id& node) { return shard_map.shard_of(node); });
     }
 
     for (std::size_t epoch_start = 0; epoch_start < config.queries;
          epoch_start += kFeedEpoch) {
       const std::size_t epoch_end =
           std::min(config.queries, epoch_start + kFeedEpoch);
-      for (FeedRecorder& recorder : recorders) {
-        recorder.phase_.assert_exclusive();  // between epochs: no workers running
-        recorder.reset(shards);
+      for (index::CacheDeltaLog& log : logs) {
+        log.phase_.assert_exclusive();  // between epochs: no workers running
+        log.reset();
       }
 
       // (lookup) -- worker w serves the sessions with index ≡ w (mod S)
       // read-only, recording cache deltas. Walked in increasing i, so each
       // queue is (vt, seq)-sorted by construction.
       run_workers(shards, [&](std::size_t w) {
-        FeedAccumulator& acc = accumulators[w];
+        FeedTotals& acc = accumulators[w];
         const net::ScopedLedgerOverride scope{&acc.ledger};
-        FeedRecorder& recorder = recorders[w];
-        recorder.phase_.assert_exclusive();  // worker w is recorder w's sole owner
+        index::CacheDeltaLog& log = logs[w];
+        log.phase_.assert_exclusive();  // worker w is log w's sole owner
         index::LookupEngine engine{service, store, {config.policy}};
-        engine.set_cache_recorder(&recorder);
         for (std::size_t i = epoch_start; i < epoch_end; ++i) {
           if (i % shards != w) continue;
-          recorder.begin_session(i);
+          log.begin_session(i);
           const workload::StreamingRequest request = workload.request_at(i);
-          acc.fold_outcome(engine.resolve(request.query, request.target_msd));
+          acc.fold(engine.resolve(request.query, request.target_msd, log));
         }
       });
 
       // (intern) -- resolve the epoch's new queries against the shared pool,
       // serialized in the driver.
-      for (FeedRecorder& recorder : recorders) {
-        recorder.phase_.assert_exclusive();  // serial sub-phase: driver is alone
-        recorder.interns.phase_.assert_exclusive();
-        recorder.interns.intern_all(interner);
+      for (index::CacheDeltaLog& log : logs) {
+        log.phase_.assert_exclusive();  // serial sub-phase: driver is alone
+        log.interns.phase_.assert_exclusive();
+        log.interns.intern_all(interner);
       }
 
       // (apply) -- worker t merges the delta queues addressed to its shard
-      // by (vt, seq) and replays them against the caches it owns. Install
-      // traffic is charged here, exactly when an insert creates an entry
-      // (the sequential rule), into a per-applier ledger folded at the end.
+      // by (vt, seq) and applies them to the caches it owns, charging
+      // install traffic into its own accumulator's ledger (the lookup
+      // workers are past the barrier).
       run_workers(shards, [&](std::size_t t) {
-        const net::ScopedLedgerOverride scope{&apply_ledgers[t]};
+        const net::ScopedLedgerOverride scope{&accumulators[t].ledger};
         net::TrafficLedger& ledger = net::active(service.ledger());
-        std::vector<const std::vector<CacheDelta>*> queues;
+        std::vector<const std::vector<index::CacheDeltaLog::Delta>*> queues;
         queues.reserve(shards);
-        for (std::size_t p = 0; p < shards; ++p) {
-          recorders[p].phase_.assert_shared();  // apply sub-phase: buffers frozen
-          queues.push_back(&recorders[p].queues[t]);
+        for (const index::CacheDeltaLog& log : logs) {
+          log.phase_.assert_shared();  // apply sub-phase: buffers frozen
+          queues.push_back(&log.queue(t));
         }
-        merge_by_virtual_time<CacheDelta>(queues, [&](std::size_t p,
-                                                      const CacheDelta& delta) {
-          const FeedRecorder& recorder = recorders[p];
-          recorder.phase_.assert_shared();  // read-only rights, shared with peers
-          recorder.interns.phase_.assert_shared();
-          const Query* source = recorder.interns.ref_of(delta.source, delta.source_pending);
-          const Query* target = recorder.interns.ref_of(delta.target, delta.target_pending);
+        merge_by_virtual_time(queues, [&](std::size_t p,
+                                          const index::CacheDeltaLog::Delta& delta) {
+          const index::CacheDeltaLog& log = logs[p];
+          log.phase_.assert_shared();  // read-only rights, shared with peers
           index::IndexNodeState* state = service.find_state(delta.node);
           if (state == nullptr) {
             throw InvariantError(
                 "sharded feed: cache delta addressed to a node with no index "
                 "partition (build pre-creates every partition)");
           }
-          index::ShortcutCache& cache = state->cache();
-          switch (delta.kind) {
-            case CacheDelta::Kind::kTouch:
-              // The entry was present in the snapshot; an earlier delta of
-              // this epoch may have evicted or invalidated it, in which case
-              // the touch is a no-op — same as the sequential replay.
-              cache.touch_interned(source, target);
-              break;
-            case CacheDelta::Kind::kInstall:
-              if (cache.insert_interned(source, target)) {
-                ledger.cache.record(source->byte_size() + target->byte_size() +
-                                    net::kMessageOverheadBytes);
-              }
-              break;
-            case CacheDelta::Kind::kInvalidate:
-              // Idempotent: two sessions of one epoch may have jumped on the
-              // same stale entry; the second erase finds nothing. The
-              // invalidation notice was charged at record time.
-              cache.erase_interned(source, target);
-              break;
-          }
+          log.apply(delta, state->cache(), ledger, service.bus());
         });
       });
     }
   }
 
   FeedTotals totals;
-  for (const FeedAccumulator& acc : accumulators) {
-    totals.interactions += acc.interactions;
-    totals.generalizations += acc.generalizations;
-    totals.hits += acc.hits;
-    totals.first_node_hits += acc.first_node_hits;
-    totals.rpc_failures += acc.rpc_failures;
-    totals.failed_lookups += acc.failed_lookups;
-    totals.non_indexed += acc.non_indexed;
-    totals.degraded += acc.degraded;
-    totals.gave_up += acc.gave_up;
-    totals.unreachable += acc.unreachable;
-    totals.stale_shortcuts += acc.stale_shortcuts;
-    for (const auto& [node, touches] : acc.node_touches) {
-      totals.node_touches[node] += touches;
-    }
-    totals.ledger.merge(acc.ledger);
-  }
-  for (const net::TrafficLedger& ledger : apply_ledgers) {
-    totals.ledger.merge(ledger);
-  }
+  for (const FeedTotals& acc : accumulators) totals.merge(acc);
   return totals;
 }
 
@@ -715,80 +568,11 @@ SimulationResults run_streaming_simulation(const SimulationConfig& config) {
 
   // --- collect metrics -------------------------------------------------------
   SimulationResults r;
-  r.scheme = config.scheme;
-  r.policy = config.policy;
-  r.cache_capacity = config.cache_capacity;
-  r.nodes = config.nodes;
   r.articles = stream.size();
-  r.queries = config.queries;
-  r.replication = config.replication;
-  r.transport = config.transport;
   r.build_wall_s = build_wall_s;
   r.feed_wall_s = feed_wall_s;
-  r.peak_rss_bytes = dhtidx::peak_rss_bytes();
-
-  r.rpc_failures = feed.rpc_failures;
-  r.failed_lookups = feed.failed_lookups;
-  r.non_indexed_queries = feed.non_indexed;
-  r.degraded_sessions = feed.degraded;
-  r.gave_up_sessions = feed.gave_up;
-  r.unreachable_sessions = feed.unreachable;
-  r.stale_shortcut_invalidations = feed.stale_shortcuts;
   ledger.merge(feed.ledger);
-
-  const double n_queries = static_cast<double>(config.queries);
-  r.avg_interactions = static_cast<double>(feed.interactions) / n_queries;
-  r.avg_generalization_steps = static_cast<double>(feed.generalizations) / n_queries;
-  r.normal_traffic_per_query = static_cast<double>(ledger.normal_bytes()) / n_queries;
-  r.cache_traffic_per_query = static_cast<double>(ledger.cache.bytes()) / n_queries;
-  r.hit_ratio = static_cast<double>(feed.hits) / n_queries;
-  r.first_node_hit_share =
-      feed.hits == 0 ? 0.0
-                     : static_cast<double>(feed.first_node_hits) /
-                           static_cast<double>(feed.hits);
-  r.ledger = ledger;
-
-  // Cache occupancy over all nodes, as in the sequential driver.
-  std::uint64_t cached_total = 0;
-  std::size_t full = 0;
-  std::size_t empty = 0;
-  std::size_t max_cached = 0;
-  const std::vector<Id> nodes = ring.node_ids();
-  for (const Id& node : nodes) {
-    std::size_t size = 0;
-    if (const index::IndexNodeState* state = service.find_state(node); state != nullptr) {
-      size = state->cache().size();
-    }
-    cached_total += size;
-    max_cached = std::max(max_cached, size);
-    if (size == 0) ++empty;
-    if (config.cache_capacity != 0 && size >= config.cache_capacity) ++full;
-  }
-  const double n_nodes = static_cast<double>(nodes.size());
-  r.avg_cached_keys_per_node = static_cast<double>(cached_total) / n_nodes;
-  r.max_cached_keys = max_cached;
-  r.full_cache_fraction = static_cast<double>(full) / n_nodes;
-  r.empty_cache_fraction = static_cast<double>(empty) / n_nodes;
-
-  const index::IndexService::Totals totals = service.totals();
-  std::size_t stored_keys = 0;
-  for (const auto& [node, node_store] : store.node_stores()) {
-    stored_keys += node_store.key_count();
-  }
-  r.avg_regular_keys_per_node = static_cast<double>(totals.keys + stored_keys) / n_nodes;
-  r.index_keys = totals.keys;
-  r.index_mappings = totals.mappings;
-  r.index_bytes = totals.bytes;
-  r.data_bytes = store.total_bytes();
-
-  r.node_load_fractions.reserve(nodes.size());
-  for (const Id& node : nodes) {
-    const auto it = feed.node_touches.find(node);
-    const double touches =
-        it == feed.node_touches.end() ? 0.0 : static_cast<double>(it->second);
-    r.node_load_fractions.push_back(touches / n_queries);
-  }
-  std::sort(r.node_load_fractions.begin(), r.node_load_fractions.end(), std::greater<>());
+  collect_results(config, feed, ledger, ring, service, store, r);
 
 #ifdef DHTIDX_AUDIT
   audit::audit_or_throw("post-run", ring, service, store, audit_options);

@@ -36,15 +36,17 @@
 //  - Caching feed = bulk-synchronous query epochs, the build pattern one
 //    level up (DESIGN.md section 15). Each epoch of queries runs (lookup) S
 //    workers serving their session slice read-only against the frozen
-//    shortcut caches, with every intended cache mutation recorded as a
-//    (vt = query index, seq)-tagged delta in per-(worker, owner-shard)
-//    queues; (intern) the driver serially interns queries the deltas
-//    reference that the pool has not seen; (apply) S workers each merge the
-//    delta queues addressed to their shard by (vt, seq) and replay them
-//    against the caches they own. MRU order, LRU evictions, hit ratios and
-//    install traffic follow the same total order for every S — bit-identical
-//    across shard counts, including S = 1 (which runs the identical epoch
-//    code inline).
+//    shortcut caches, each recording its sessions' cache mutations into an
+//    index::CacheDeltaLog — (vt = query index, seq)-tagged deltas in
+//    per-owner-shard queues; (intern) the driver serially interns queries
+//    the deltas reference that the pool has not seen; (apply) S workers each
+//    merge the queues addressed to their shard by (vt, seq) and hand every
+//    delta to CacheDeltaLog::apply on the caches they own. The sequential
+//    feed runs the same record → intern → apply path with one session per
+//    epoch (LookupEngine::resolve without a log). MRU order, LRU evictions,
+//    hit ratios and install traffic follow the same total order for every
+//    S — bit-identical across shard counts, including S = 1 (which runs the
+//    identical epoch code inline).
 //
 // Restrictions (InvariantError otherwise): Ring substrate, in-process
 // transport, no churn; shards > 1 additionally requires a streaming world.
@@ -54,6 +56,7 @@
 #include <map>
 
 #include "biblio/stream.hpp"
+#include "index/lookup.hpp"
 #include "index/service.hpp"
 #include "net/stats.hpp"
 #include "sim/metrics.hpp"
@@ -70,8 +73,10 @@ void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
                            index::IndexService& service, storage::DhtStore& store,
                            const biblio::ArticleStream& stream);
 
-/// Aggregated feed-phase measurements: the exact integer fold of the
-/// per-worker accumulators plus the apply sub-phase's install traffic.
+/// Aggregated feed-phase measurements. Every feed worker folds its
+/// sessions into its own FeedTotals and the driver merges them after the
+/// final barrier: integer sums, commutative and exact, so the totals match a
+/// one-worker feed bit for bit.
 struct FeedTotals {
   std::uint64_t interactions = 0;
   std::uint64_t generalizations = 0;
@@ -85,11 +90,26 @@ struct FeedTotals {
   std::size_t unreachable = 0;
   std::size_t stale_shortcuts = 0;
   /// Unique-node touch counts per session, summed; iterated in sorted Id
-  /// order when the driver derives node_load_fractions.
-  // dhtidx-lint: allow(hot-path-map) "merged once per feed, never touched per query; sorted iteration drives deterministic load fractions"
+  /// order when node_load_fractions are derived.
+  // dhtidx-lint: allow(hot-path-map) "touched once per visited node per session, merged once per feed; sorted iteration drives deterministic load fractions"
   std::map<Id, std::uint64_t> node_touches;
-  net::TrafficLedger ledger;  ///< all feed traffic (worker + apply charges)
+  /// Feed traffic charged through a worker's ledger override (sharded
+  /// feeds); a sequential feed charges the service ledger directly.
+  net::TrafficLedger ledger;
+
+  void fold(const index::LookupOutcome& outcome);
+  void merge(const FeedTotals& other);
 };
+
+/// Fills the SimulationResults fields both engines share: the configuration
+/// echo, the feed's session counters and per-query averages, hit ratio,
+/// cache occupancy, index and store totals, and node-load fractions.
+/// `ledger` is the whole query-phase analytic ledger. Call after the feed,
+/// before any repair changes membership.
+void collect_results(const SimulationConfig& config, const FeedTotals& feed,
+                     const net::TrafficLedger& ledger, const dht::Dht& dht,
+                     const index::IndexService& service,
+                     const storage::DhtStore& store, SimulationResults& r);
 
 /// Runs the query feed over an already-built streaming world with
 /// config.shards workers: one read-only parallel pass for cacheless

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
-#include <set>
 
 #include "common/error.hpp"
-#include "common/rss.hpp"
 #ifdef DHTIDX_AUDIT
 #include "audit/audit.hpp"
 #endif
@@ -185,19 +182,8 @@ SimulationResults run_simulation(const SimulationConfig& config,
                                      config.seed};
 
   SimulationResults r;
-  r.scheme = config.scheme;
-  r.policy = config.policy;
-  r.cache_capacity = config.cache_capacity;
-  r.nodes = config.nodes;
   r.articles = corpus.size();
-  r.queries = config.queries;
-
-  std::uint64_t total_interactions = 0;
-  std::uint64_t total_generalizations = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t first_node_hits = 0;
-  // dhtidx-lint: allow(hot-path-map) "touched once per visited node per session, not per delta; sorted iteration drives deterministic load fractions"
-  std::map<Id, std::uint64_t> node_touches;
+  FeedTotals feed;
 
   // --- churn schedule --------------------------------------------------------
   const bool churn_enabled = config.churn.enabled();
@@ -309,19 +295,7 @@ SimulationResults run_simulation(const SimulationConfig& config,
     const query::Query target = corpus.article(request.article_index).msd();
     const index::LookupOutcome outcome = engine.resolve(request.query, target);
 
-    total_interactions += static_cast<std::uint64_t>(outcome.interactions);
-    total_generalizations += static_cast<std::uint64_t>(outcome.generalization_steps);
-    if (!outcome.found) ++r.failed_lookups;
-    if (outcome.non_indexed) ++r.non_indexed_queries;
-    if (outcome.cache_hit) {
-      ++hits;
-      if (outcome.cache_hit_position == 1) ++first_node_hits;
-    }
-    r.rpc_failures += static_cast<std::uint64_t>(outcome.rpc_failures);
-    if (outcome.degraded) ++r.degraded_sessions;
-    if (outcome.gave_up) ++r.gave_up_sessions;
-    if (outcome.unreachable) ++r.unreachable_sessions;
-    r.stale_shortcut_invalidations += static_cast<std::size_t>(outcome.stale_shortcuts);
+    feed.fold(outcome);
     if (churned) {
       ++r.sessions_after_churn;
       post_churn_interactions += static_cast<std::uint64_t>(outcome.interactions);
@@ -331,8 +305,6 @@ SimulationResults run_simulation(const SimulationConfig& config,
         if (!outcome.found) ++r.indexed_failed_after_churn;
       }
     }
-    std::set<Id> unique_nodes(outcome.visited_nodes.begin(), outcome.visited_nodes.end());
-    for (const Id& node : unique_nodes) ++node_touches[node];
   }
 
   // Short feeds (or heal_point >= 1.0) can end before the scheduled heal;
@@ -347,22 +319,13 @@ SimulationResults run_simulation(const SimulationConfig& config,
   // --- collect metrics -------------------------------------------------------
   r.build_wall_s = build_wall_s;
   r.feed_wall_s = wall_seconds_since(feed_start);
-  r.peak_rss_bytes = dhtidx::peak_rss_bytes();
+  collect_results(config, feed, ledger, ring, service, store, r);
   const double n_queries = static_cast<double>(config.queries);
-  r.avg_interactions = static_cast<double>(total_interactions) / n_queries;
-  r.avg_generalization_steps = static_cast<double>(total_generalizations) / n_queries;
-  r.normal_traffic_per_query = static_cast<double>(ledger.normal_bytes()) / n_queries;
-  r.cache_traffic_per_query = static_cast<double>(ledger.cache.bytes()) / n_queries;
-  r.hit_ratio = static_cast<double>(hits) / n_queries;
-  r.first_node_hit_share =
-      hits == 0 ? 0.0 : static_cast<double>(first_node_hits) / static_cast<double>(hits);
-  r.ledger = ledger;
 
   // Measured wire traffic: flush any frames still queued from the last
   // session, then snapshot the bus ledger before repair-phase maintenance
   // traffic is generated.
   bus.sync();
-  r.transport = config.transport;
   r.wire_ledger = bus.measured();
   r.wire_normal_traffic_per_query =
       static_cast<double>(r.wire_ledger.normal_bytes()) / n_queries;
@@ -372,7 +335,6 @@ SimulationResults run_simulation(const SimulationConfig& config,
   if (event_queue) r.event_clock_ms = event_queue->clock_ms();
 
   // Availability under churn.
-  r.replication = config.replication;
   r.retry_backoff_ms = service.retry_backoff_ms();
   if (r.sessions_after_churn > 0) {
     const double sessions = static_cast<double>(r.sessions_after_churn);
@@ -385,42 +347,6 @@ SimulationResults run_simulation(const SimulationConfig& config,
                   static_cast<double>(r.indexed_sessions_after_churn);
   }
 
-  // Cache occupancy across *all* nodes, including ones that never stored a
-  // shortcut (the paper reports 4.4% completely empty caches).
-  std::uint64_t cached_total = 0;
-  std::size_t full = 0;
-  std::size_t empty = 0;
-  std::size_t max_cached = 0;
-  const std::vector<Id> nodes = ring.node_ids();
-  for (const Id& node : nodes) {
-    std::size_t size = 0;
-    if (const index::IndexNodeState* state = service.find_state(node); state != nullptr) {
-      size = state->cache().size();
-    }
-    cached_total += size;
-    max_cached = std::max(max_cached, size);
-    if (size == 0) ++empty;
-    if (config.cache_capacity != 0 && size >= config.cache_capacity) ++full;
-  }
-  const double n_nodes = static_cast<double>(nodes.size());
-  r.avg_cached_keys_per_node = static_cast<double>(cached_total) / n_nodes;
-  r.max_cached_keys = max_cached;
-  r.full_cache_fraction = static_cast<double>(full) / n_nodes;
-  r.empty_cache_fraction = static_cast<double>(empty) / n_nodes;
-
-  // Regular keys: index keys plus stored data keys, averaged over all nodes.
-  const index::IndexService::Totals totals = service.totals();
-  std::size_t stored_keys = 0;
-  for (const auto& [node, node_store] : store.node_stores()) {
-    stored_keys += node_store.key_count();
-  }
-  r.avg_regular_keys_per_node =
-      static_cast<double>(totals.keys + stored_keys) / n_nodes;
-  r.index_keys = totals.keys;
-  r.index_mappings = totals.mappings;
-  r.index_bytes = totals.bytes;
-  r.data_bytes = store.total_bytes();
-
   if (chord_substrate || can_substrate || pastry_substrate) {
     const net::TrafficStats& routing =
         chord_substrate ? chord_substrate->routing_stats()
@@ -428,19 +354,10 @@ SimulationResults run_simulation(const SimulationConfig& config,
                         : pastry_substrate->routing_stats();
     r.routing_bytes = routing.bytes();
     r.avg_routing_hops_per_lookup =
-        total_interactions == 0
+        feed.interactions == 0
             ? 0.0
-            : static_cast<double>(routing.messages()) / static_cast<double>(total_interactions);
+            : static_cast<double>(routing.messages()) / static_cast<double>(feed.interactions);
   }
-
-  // Figure 15: per-node share of queries, busiest first.
-  r.node_load_fractions.reserve(nodes.size());
-  for (const Id& node : nodes) {
-    const auto it = node_touches.find(node);
-    const double touches = it == node_touches.end() ? 0.0 : static_cast<double>(it->second);
-    r.node_load_fractions.push_back(touches / n_queries);
-  }
-  std::sort(r.node_load_fractions.begin(), r.node_load_fractions.end(), std::greater<>());
 
   // --- repair ----------------------------------------------------------------
   // After the measured feed: the substrate finally detects the crashes,

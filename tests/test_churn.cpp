@@ -287,6 +287,49 @@ TEST(ChurnLookup, StaleShortcutIsInvalidatedAndTheWalkStillSucceeds) {
   EXPECT_EQ(after.rpc_failures, 0);
 }
 
+TEST(ChurnLookup, EpochLogSessionMatchesImmediateSessionOnAStaleShortcut) {
+  // A session recording into an epoch log reads frozen caches, so its own
+  // invalidation waits in the log. It must still stop seeing the entry at
+  // once: otherwise it re-hits the stale shortcut at the jump origin until
+  // the interaction budget runs out.
+  FaultyStack stack{/*replication=*/1, index::CachePolicy::kSingle, 15, 25};
+  const auto& a = stack.corpus->article(0);
+  ASSERT_TRUE(stack.engine.resolve(a.author_query(), a.msd()).found);  // warm
+  stack.store.drop_node(stack.ring.lookup(a.msd().key()).node);
+
+  index::CacheDeltaLog log{stack.service.interner()};
+  log.phase_.assert_exclusive();
+  const index::LookupOutcome deferred =
+      stack.engine.resolve(a.author_query(), a.msd(), log);
+  // The deferred session changed no cache: the immediate one starts from the
+  // same world.
+  const index::LookupOutcome immediate = stack.engine.resolve(a.author_query(), a.msd());
+
+  EXPECT_EQ(immediate.stale_shortcuts, 1);
+  EXPECT_FALSE(immediate.found);
+  EXPECT_EQ(deferred.found, immediate.found);
+  EXPECT_EQ(deferred.interactions, immediate.interactions);
+  EXPECT_EQ(deferred.cache_hit, immediate.cache_hit);
+  EXPECT_EQ(deferred.cache_hit_position, immediate.cache_hit_position);
+  EXPECT_EQ(deferred.non_indexed, immediate.non_indexed);
+  EXPECT_EQ(deferred.generalization_steps, immediate.generalization_steps);
+  EXPECT_EQ(deferred.visited_nodes, immediate.visited_nodes);
+  EXPECT_EQ(deferred.rpc_failures, immediate.rpc_failures);
+  EXPECT_EQ(deferred.degraded, immediate.degraded);
+  EXPECT_EQ(deferred.gave_up, immediate.gave_up);
+  EXPECT_EQ(deferred.unreachable, immediate.unreachable);
+  EXPECT_EQ(deferred.stale_shortcuts, immediate.stale_shortcuts);
+
+  // The log holds the hit's touch and the invalidation, in that order.
+  using Kind = index::CacheDeltaLog::Delta::Kind;
+  const auto& deltas = log.queue(0);
+  ASSERT_EQ(deltas.size(), 2u);
+  EXPECT_EQ(deltas[0].kind, Kind::kTouch);
+  EXPECT_EQ(deltas[1].kind, Kind::kInvalidate);
+  EXPECT_EQ(deltas[0].seq, 0u);
+  EXPECT_EQ(deltas[1].seq, 1u);
+}
+
 TEST(ChurnLookup, PurgeStaleShortcutsDropsEntriesForLostRecords) {
   FaultyStack stack{/*replication=*/1, index::CachePolicy::kSingle, 15, 25};
   const auto& a = stack.corpus->article(0);

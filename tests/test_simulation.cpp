@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 namespace dhtidx::sim {
 namespace {
 
@@ -193,6 +196,378 @@ TEST(Simulation, ConfigLabel) {
   config.policy = CachePolicy::kLru;
   config.cache_capacity = 20;
   EXPECT_EQ(config_label(config), "flat/lru 20");
+}
+
+/// Every measured scalar of a run at 17 significant digits, the session
+/// counters, and each analytic and wire ledger category: two runs with equal
+/// digests are indistinguishable to every bench that prints them.
+std::string result_digest(const SimulationResults& r) {
+  std::string out;
+  const auto real = [&out](const char* name, double value) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%s=%.17g\n", name, value);
+    out += buf;
+  };
+  const auto count = [&out](const std::string& name, std::uint64_t value) {
+    out += name + "=" + std::to_string(value) + "\n";
+  };
+  real("avg_interactions", r.avg_interactions);
+  real("normal_traffic_per_query", r.normal_traffic_per_query);
+  real("cache_traffic_per_query", r.cache_traffic_per_query);
+  real("hit_ratio", r.hit_ratio);
+  real("first_node_hit_share", r.first_node_hit_share);
+  real("avg_cached_keys_per_node", r.avg_cached_keys_per_node);
+  real("full_cache_fraction", r.full_cache_fraction);
+  real("empty_cache_fraction", r.empty_cache_fraction);
+  real("avg_regular_keys_per_node", r.avg_regular_keys_per_node);
+  real("avg_generalization_steps", r.avg_generalization_steps);
+  real("post_churn_success", r.post_churn_success);
+  real("post_churn_indexed_success", r.post_churn_indexed_success);
+  real("avg_interactions_after_churn", r.avg_interactions_after_churn);
+  real("retry_backoff_ms", r.retry_backoff_ms);
+  real("wire_normal_traffic_per_query", r.wire_normal_traffic_per_query);
+  real("wire_cache_traffic_per_query", r.wire_cache_traffic_per_query);
+  real("event_clock_ms", r.event_clock_ms);
+  double load_sum = 0.0;
+  for (const double f : r.node_load_fractions) load_sum += f;
+  real("node_load_sum", load_sum);
+  real("node_load_max", r.node_load_fractions.empty() ? 0.0 : r.node_load_fractions.front());
+  count("max_cached_keys", r.max_cached_keys);
+  count("non_indexed_queries", r.non_indexed_queries);
+  count("failed_lookups", r.failed_lookups);
+  count("rpc_failures", r.rpc_failures);
+  count("degraded_sessions", r.degraded_sessions);
+  count("gave_up_sessions", r.gave_up_sessions);
+  count("unreachable_sessions", r.unreachable_sessions);
+  count("stale_shortcut_invalidations", r.stale_shortcut_invalidations);
+  count("sessions_after_churn", r.sessions_after_churn);
+  count("failed_after_churn", r.failed_after_churn);
+  count("repair_moves", r.repair_moves);
+  count("wire_messages", r.wire_messages);
+  for (const auto& [name, stats] : r.ledger.categories()) {
+    count(std::string("ledger.") + name + ".messages", stats->messages());
+    count(std::string("ledger.") + name + ".bytes", stats->bytes());
+  }
+  for (const auto& [name, stats] : r.wire_ledger.categories()) {
+    count(std::string("wire.") + name + ".messages", stats->messages());
+    count(std::string("wire.") + name + ".bytes", stats->bytes());
+  }
+  return out;
+}
+
+// Captured before the shortcut-cache mutation paths were unified; every
+// later change must reproduce them exactly.
+const char* const kSingleDigest =
+    "avg_interactions=2.2496666666666667\n"
+    "normal_traffic_per_query=576.8843333333333\n"
+    "cache_traffic_per_query=180.21566666666666\n"
+    "hit_ratio=0.77700000000000002\n"
+    "first_node_hit_share=0.94680394680394675\n"
+    "avg_cached_keys_per_node=19.824999999999999\n"
+    "full_cache_fraction=0\n"
+    "empty_cache_fraction=0.10000000000000001\n"
+    "avg_regular_keys_per_node=29.5\n"
+    "avg_generalization_steps=0.034333333333333334\n"
+    "post_churn_success=1\n"
+    "post_churn_indexed_success=1\n"
+    "avg_interactions_after_churn=0\n"
+    "retry_backoff_ms=0\n"
+    "wire_normal_traffic_per_query=1889.4383333333333\n"
+    "wire_cache_traffic_per_query=60.601333333333336\n"
+    "event_clock_ms=0\n"
+    "node_load_sum=2.1956666666666669\n"
+    "node_load_max=0.25600000000000001\n"
+    "max_cached_keys=98\n"
+    "non_indexed_queries=93\n"
+    "failed_lookups=0\n"
+    "rpc_failures=0\n"
+    "degraded_sessions=0\n"
+    "gave_up_sessions=0\n"
+    "unreachable_sessions=0\n"
+    "stale_shortcut_invalidations=0\n"
+    "sessions_after_churn=0\n"
+    "failed_after_churn=0\n"
+    "repair_moves=0\n"
+    "wire_messages=15084\n"
+    "ledger.queries.messages=6749\n"
+    "ledger.queries.bytes=520395\n"
+    "ledger.responses.messages=4418\n"
+    "ledger.responses.bytes=1210258\n"
+    "ledger.cache.messages=3124\n"
+    "ledger.cache.bytes=540647\n"
+    "ledger.routing.messages=0\n"
+    "ledger.routing.bytes=0\n"
+    "ledger.retries.messages=0\n"
+    "ledger.retries.bytes=0\n"
+    "ledger.maintenance.messages=0\n"
+    "ledger.maintenance.bytes=0\n"
+    "ledger.timeouts.messages=0\n"
+    "ledger.timeouts.bytes=0\n"
+    "ledger.duplicates.messages=0\n"
+    "ledger.duplicates.bytes=0\n"
+    "ledger.rejected.messages=0\n"
+    "ledger.rejected.bytes=0\n"
+    "wire.queries.messages=6749\n"
+    "wire.queries.bytes=655375\n"
+    "wire.responses.messages=6749\n"
+    "wire.responses.bytes=5012940\n"
+    "wire.cache.messages=793\n"
+    "wire.cache.bytes=181804\n"
+    "wire.routing.messages=793\n"
+    "wire.routing.bytes=44408\n"
+    "wire.retries.messages=0\n"
+    "wire.retries.bytes=0\n"
+    "wire.maintenance.messages=0\n"
+    "wire.maintenance.bytes=0\n"
+    "wire.timeouts.messages=0\n"
+    "wire.timeouts.bytes=0\n"
+    "wire.duplicates.messages=0\n"
+    "wire.duplicates.bytes=0\n"
+    "wire.rejected.messages=0\n"
+    "wire.rejected.bytes=0\n";
+
+const char* const kMultiDigest =
+    "avg_interactions=2.2403333333333335\n"
+    "normal_traffic_per_query=553.36466666666672\n"
+    "cache_traffic_per_query=219.47733333333332\n"
+    "hit_ratio=0.85399999999999998\n"
+    "first_node_hit_share=0.8946135831381733\n"
+    "avg_cached_keys_per_node=28.975000000000001\n"
+    "full_cache_fraction=0\n"
+    "empty_cache_fraction=0.050000000000000003\n"
+    "avg_regular_keys_per_node=29.5\n"
+    "avg_generalization_steps=0.034333333333333334\n"
+    "post_churn_success=1\n"
+    "post_churn_indexed_success=1\n"
+    "avg_interactions_after_churn=0\n"
+    "retry_backoff_ms=0\n"
+    "wire_normal_traffic_per_query=1926.9466666666667\n"
+    "wire_cache_traffic_per_query=90.537000000000006\n"
+    "event_clock_ms=0\n"
+    "node_load_sum=2.1873333333333336\n"
+    "node_load_max=0.25466666666666665\n"
+    "max_cached_keys=161\n"
+    "non_indexed_queries=93\n"
+    "failed_lookups=0\n"
+    "rpc_failures=0\n"
+    "degraded_sessions=0\n"
+    "gave_up_sessions=0\n"
+    "unreachable_sessions=0\n"
+    "stale_shortcut_invalidations=0\n"
+    "sessions_after_churn=0\n"
+    "failed_after_churn=0\n"
+    "repair_moves=0\n"
+    "wire_messages=15760\n"
+    "ledger.queries.messages=6721\n"
+    "ledger.queries.bytes=516945\n"
+    "ledger.responses.messages=4159\n"
+    "ledger.responses.bytes=1143149\n"
+    "ledger.cache.messages=3721\n"
+    "ledger.cache.bytes=658432\n"
+    "ledger.routing.messages=0\n"
+    "ledger.routing.bytes=0\n"
+    "ledger.retries.messages=0\n"
+    "ledger.retries.bytes=0\n"
+    "ledger.maintenance.messages=0\n"
+    "ledger.maintenance.bytes=0\n"
+    "ledger.timeouts.messages=0\n"
+    "ledger.timeouts.bytes=0\n"
+    "ledger.duplicates.messages=0\n"
+    "ledger.duplicates.bytes=0\n"
+    "ledger.rejected.messages=0\n"
+    "ledger.rejected.bytes=0\n"
+    "wire.queries.messages=6721\n"
+    "wire.queries.bytes=651365\n"
+    "wire.responses.messages=6721\n"
+    "wire.responses.bytes=5129475\n"
+    "wire.cache.messages=1159\n"
+    "wire.cache.bytes=271611\n"
+    "wire.routing.messages=1159\n"
+    "wire.routing.bytes=64904\n"
+    "wire.retries.messages=0\n"
+    "wire.retries.bytes=0\n"
+    "wire.maintenance.messages=0\n"
+    "wire.maintenance.bytes=0\n"
+    "wire.timeouts.messages=0\n"
+    "wire.timeouts.bytes=0\n"
+    "wire.duplicates.messages=0\n"
+    "wire.duplicates.bytes=0\n"
+    "wire.rejected.messages=0\n"
+    "wire.rejected.bytes=0\n";
+
+const char* const kLruDigest =
+    "avg_interactions=2.5853333333333333\n"
+    "normal_traffic_per_query=983.90933333333328\n"
+    "cache_traffic_per_query=197.75700000000001\n"
+    "hit_ratio=0.46833333333333332\n"
+    "first_node_hit_share=0.8775800711743772\n"
+    "avg_cached_keys_per_node=4.2249999999999996\n"
+    "full_cache_fraction=0.75\n"
+    "empty_cache_fraction=0.10000000000000001\n"
+    "avg_regular_keys_per_node=29.5\n"
+    "avg_generalization_steps=0.043999999999999997\n"
+    "post_churn_success=1\n"
+    "post_churn_indexed_success=1\n"
+    "avg_interactions_after_churn=0\n"
+    "retry_backoff_ms=0\n"
+    "wire_normal_traffic_per_query=1503.2326666666668\n"
+    "wire_cache_traffic_per_query=135.34266666666667\n"
+    "event_clock_ms=0\n"
+    "node_load_sum=2.5126666666666657\n"
+    "node_load_max=0.28566666666666668\n"
+    "max_cached_keys=5\n"
+    "non_indexed_queries=129\n"
+    "failed_lookups=0\n"
+    "rpc_failures=0\n"
+    "degraded_sessions=0\n"
+    "gave_up_sessions=0\n"
+    "unreachable_sessions=0\n"
+    "stale_shortcut_invalidations=0\n"
+    "sessions_after_churn=0\n"
+    "failed_after_churn=0\n"
+    "repair_moves=0\n"
+    "wire_messages=19046\n"
+    "ledger.queries.messages=7756\n"
+    "ledger.queries.bytes=640047\n"
+    "ledger.responses.messages=6351\n"
+    "ledger.responses.bytes=2311681\n"
+    "ledger.cache.messages=3172\n"
+    "ledger.cache.bytes=593271\n"
+    "ledger.routing.messages=0\n"
+    "ledger.routing.bytes=0\n"
+    "ledger.retries.messages=0\n"
+    "ledger.retries.bytes=0\n"
+    "ledger.maintenance.messages=0\n"
+    "ledger.maintenance.bytes=0\n"
+    "ledger.timeouts.messages=0\n"
+    "ledger.timeouts.bytes=0\n"
+    "ledger.duplicates.messages=0\n"
+    "ledger.duplicates.bytes=0\n"
+    "ledger.rejected.messages=0\n"
+    "ledger.rejected.bytes=0\n"
+    "wire.queries.messages=7756\n"
+    "wire.queries.bytes=795167\n"
+    "wire.responses.messages=7756\n"
+    "wire.responses.bytes=3714531\n"
+    "wire.cache.messages=1767\n"
+    "wire.cache.bytes=406028\n"
+    "wire.routing.messages=1767\n"
+    "wire.routing.bytes=98952\n"
+    "wire.retries.messages=0\n"
+    "wire.retries.bytes=0\n"
+    "wire.maintenance.messages=0\n"
+    "wire.maintenance.bytes=0\n"
+    "wire.timeouts.messages=0\n"
+    "wire.timeouts.bytes=0\n"
+    "wire.duplicates.messages=0\n"
+    "wire.duplicates.bytes=0\n"
+    "wire.rejected.messages=0\n"
+    "wire.rejected.bytes=0\n";
+
+const char* const kChurnDigest =
+    "avg_interactions=2.7546666666666666\n"
+    "normal_traffic_per_query=1145.6379999999999\n"
+    "cache_traffic_per_query=159.607\n"
+    "hit_ratio=0.6273333333333333\n"
+    "first_node_hit_share=0.92879914984059508\n"
+    "avg_cached_keys_per_node=15.949999999999999\n"
+    "full_cache_fraction=0\n"
+    "empty_cache_fraction=0.32500000000000001\n"
+    "avg_regular_keys_per_node=46.725000000000001\n"
+    "avg_generalization_steps=0.25766666666666665\n"
+    "post_churn_success=0.71599999999999997\n"
+    "post_churn_indexed_success=0.78250950570342204\n"
+    "avg_interactions_after_churn=3.1466666666666665\n"
+    "retry_backoff_ms=560400\n"
+    "wire_normal_traffic_per_query=2595.5206666666668\n"
+    "wire_cache_traffic_per_query=64.984333333333339\n"
+    "event_clock_ms=18872\n"
+    "node_load_sum=2.2759999999999998\n"
+    "node_load_max=0.25433333333333336\n"
+    "max_cached_keys=94\n"
+    "non_indexed_queries=240\n"
+    "failed_lookups=426\n"
+    "rpc_failures=7039\n"
+    "degraded_sessions=964\n"
+    "gave_up_sessions=40\n"
+    "unreachable_sessions=0\n"
+    "stale_shortcut_invalidations=20\n"
+    "sessions_after_churn=1500\n"
+    "failed_after_churn=426\n"
+    "repair_moves=521\n"
+    "wire_messages=27601\n"
+    "ledger.queries.messages=9435\n"
+    "ledger.queries.bytes=795884\n"
+    "ledger.responses.messages=6362\n"
+    "ledger.responses.bytes=2641030\n"
+    "ledger.cache.messages=2748\n"
+    "ledger.cache.bytes=478821\n"
+    "ledger.routing.messages=0\n"
+    "ledger.routing.bytes=0\n"
+    "ledger.retries.messages=7039\n"
+    "ledger.retries.bytes=650994\n"
+    "ledger.maintenance.messages=0\n"
+    "ledger.maintenance.bytes=0\n"
+    "ledger.timeouts.messages=0\n"
+    "ledger.timeouts.bytes=0\n"
+    "ledger.duplicates.messages=0\n"
+    "ledger.duplicates.bytes=0\n"
+    "ledger.rejected.messages=0\n"
+    "ledger.rejected.bytes=0\n"
+    "wire.queries.messages=9435\n"
+    "wire.queries.bytes=984584\n"
+    "wire.responses.messages=9435\n"
+    "wire.responses.bytes=6801978\n"
+    "wire.cache.messages=846\n"
+    "wire.cache.bytes=194953\n"
+    "wire.routing.messages=846\n"
+    "wire.routing.bytes=47376\n"
+    "wire.retries.messages=7039\n"
+    "wire.retries.bytes=791774\n"
+    "wire.maintenance.messages=0\n"
+    "wire.maintenance.bytes=0\n"
+    "wire.timeouts.messages=0\n"
+    "wire.timeouts.bytes=0\n"
+    "wire.duplicates.messages=0\n"
+    "wire.duplicates.bytes=0\n"
+    "wire.rejected.messages=0\n"
+    "wire.rejected.bytes=0\n";
+
+TEST(Simulation, CachedFeedsMatchPinnedDigests) {
+  // Exact results of small materialized cached runs, pinned so that any
+  // change to the shortcut-cache path (install, touch, stale invalidation,
+  // LRU eviction) that moves a single byte of any bench output fails here.
+  SimulationConfig base = small_config(SchemeKind::kSimple, CachePolicy::kSingle);
+  base.nodes = 40;
+  base.queries = 3000;
+  base.corpus.articles = 300;
+  base.corpus.authors = 100;
+  base.corpus.conferences = 12;
+
+  SimulationConfig multi = base;
+  multi.policy = CachePolicy::kMulti;
+  SimulationConfig lru = base;
+  lru.policy = CachePolicy::kLru;
+  lru.cache_capacity = 5;  // small enough that most installs evict
+  SimulationConfig churn = base;
+  churn.replication = 2;
+  churn.churn.crash_fraction = 0.25;
+  churn.churn.drop_probability = 0.05;
+  churn.transport = TransportKind::kEventQueue;
+
+  const SimulationResults single_r = run_simulation(base);
+  const SimulationResults multi_r = run_simulation(multi);
+  const SimulationResults lru_r = run_simulation(lru);
+  const SimulationResults churn_r = run_simulation(churn);
+  // The cells exercise what they are meant to.
+  EXPECT_GT(lru_r.full_cache_fraction, 0.0);
+  EXPECT_GT(churn_r.stale_shortcut_invalidations, 0u);
+  EXPECT_GT(churn_r.rpc_failures, 0u);
+
+  EXPECT_EQ(result_digest(single_r), kSingleDigest);
+  EXPECT_EQ(result_digest(multi_r), kMultiDigest);
+  EXPECT_EQ(result_digest(lru_r), kLruDigest);
+  EXPECT_EQ(result_digest(churn_r), kChurnDigest);
 }
 
 TEST(Simulation, CustomStructureWeights) {
