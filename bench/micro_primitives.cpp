@@ -278,8 +278,9 @@ struct BenchWorld {
   index::IndexService service;
   index::IndexBuilder builder;
 
-  explicit BenchWorld(index::IndexingScheme scheme, std::size_t skip_first = 0)
-      : corpus(biblio::Corpus::generate({.articles = 1000, .authors = 300})),
+  explicit BenchWorld(index::IndexingScheme scheme, std::size_t skip_first = 0,
+                      biblio::CorpusConfig corpus_config = {.articles = 1000, .authors = 300})
+      : corpus(biblio::Corpus::generate(corpus_config)),
         ring(dht::Ring::with_nodes(100)),
         store(ring, ledger),
         service(ring, ledger),
@@ -316,6 +317,21 @@ void BM_IteratedLookupWalk(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_IteratedLookupWalk);
+
+// The flat scheme's walk: a conference key maps straight to the MSDs of all
+// its articles (~250 each here), so the first hop picks the next hop out of
+// a long posting list and charges its whole response.
+void BM_IteratedLookupWalkFlat(benchmark::State& state) {
+  static BenchWorld world{index::IndexingScheme::flat(), 0,
+                          {.articles = 2000, .authors = 600, .conferences = 8}};
+  index::LookupEngine engine{world.service, world.store, {index::CachePolicy::kNone}};
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const biblio::Article& a = world.corpus.article(i++ % world.corpus.size());
+    benchmark::DoNotOptimize(engine.resolve(a.conference_query(), a.msd()));
+  }
+}
+BENCHMARK(BM_IteratedLookupWalkFlat);
 
 // The walk with a warm shortcut cache: after the first session per article
 // every later session jumps straight from the first node to the file.

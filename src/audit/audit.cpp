@@ -169,15 +169,16 @@ void Auditor::check_reachability(Report& report) {
   // Memoized responsible-node target lists, keyed by canonical query. Entry
   // queries repeat heavily across files (every article of a conference
   // shares the conference entry query), so resolve each one once.
-  using TargetRefs = std::vector<index::IndexNodeState::TargetRef>;
+  using TargetRefs = index::IndexNodeState::TargetList;
   std::unordered_map<std::string, const TargetRefs*> targets_memo;
   const auto targets_of = [&](const query::Query& q) -> const TargetRefs* {
     const auto memo = targets_memo.find(q.canonical());
     if (memo != targets_memo.end()) return memo->second;
     const Id node = dht_.lookup(q.key()).node;
     const auto state = service_.states().find(node);
-    const TargetRefs* targets =
-        state == service_.states().end() ? nullptr : &state->second.targets_of(q);
+    const index::IndexNodeState::SourceEntry* entry =
+        state == service_.states().end() ? nullptr : state->second.entry_of(q);
+    const TargetRefs* targets = entry == nullptr ? nullptr : &entry->targets;
     targets_memo.emplace(q.canonical(), targets);
     return targets;
   };

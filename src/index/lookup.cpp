@@ -5,17 +5,49 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <string>
 #include <unordered_set>
 
+#include "common/error.hpp"
 #include "net/stats.hpp"
 
 namespace dhtidx::index {
 
 using query::Query;
 
+#ifdef DHTIDX_AUDIT
 namespace {
-const std::vector<IndexNodeState::TargetRef> kNoTargets;
+
+/// Audit build: re-runs one hop's next-hop choice and response charge the
+/// pre-filter way -- covers() on every target, byte_size() re-summed -- and
+/// throws when the filtered loop of resolve() disagreed.
+void cross_check_hop(const Id& node, const Query& key, const IndexNodeState::SourceEntry* entry,
+                     const Query& target_msd, const Query* picked) {
+  const Query* scanned = nullptr;
+  std::uint64_t summed = 0;
+  if (entry != nullptr) {
+    for (const IndexNodeState::TargetRef& ref : entry->targets) {
+      summed += ref.target->byte_size();
+      const Query& t = *ref.target;
+      if (t != target_msd && !t.covers(target_msd)) continue;
+      if (scanned == nullptr || t.constraints().size() > scanned->constraints().size()) {
+        scanned = ref.target;
+      }
+    }
+  }
+  const std::uint64_t charged = entry != nullptr ? entry->targets.byte_size() : 0;
+  if (scanned == picked && summed == charged) return;
+  const auto name = [](const Query* pick) {
+    return pick == nullptr ? std::string{"none"} : "'" + pick->canonical() + "'";
+  };
+  throw InvariantError("next hop at node " + node.brief() + " for key '" + key.canonical() +
+                       "': filtered pick " + name(picked) + ", scan pick " + name(scanned) +
+                       ", charged " + std::to_string(charged) + " B, re-summed " +
+                       std::to_string(summed) + " B");
 }
+
+}  // namespace
+#endif
 
 void CacheDeltaLog::reset() {
   interns.phase_.assert_exclusive();  // same phase structure as the owner
@@ -107,6 +139,10 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
   // invalidated itself, whose erase waits in the log.
   HiddenShortcuts hidden;
   const HiddenShortcuts* cache_view = caching_enabled(config_.policy) ? &hidden : nullptr;
+  // Cover bits of the target: a target whose plain constraints are not all
+  // among them cannot cover it (query::required_bits), so the next-hop loop
+  // skips it without calling covers().
+  const std::uint64_t present = query::present_bits(target_msd);
 
   const Query* q = &initial;
   while (outcome.interactions < config_.max_interactions) {
@@ -194,26 +230,29 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
       }
     }
 
-    const std::vector<IndexNodeState::TargetRef>& targets =
-        contact.state != nullptr ? contact.state->targets_of(*q) : kNoTargets;
-    std::uint64_t response_bytes = net::kMessageOverheadBytes;
-    for (const IndexNodeState::TargetRef& ref : targets) {
-      response_bytes += ref.target->byte_size();
-    }
-    ledger.responses.record(response_bytes);
+    const IndexNodeState::SourceEntry* entry =
+        contact.state != nullptr ? contact.state->entry_of(*q) : nullptr;
+    ledger.responses.record(net::kMessageOverheadBytes +
+                            (entry != nullptr ? entry->targets.byte_size() : 0));
 
     // The user picks the result that matches the article they are after: the
     // one covering (or equal to) the target MSD. Among several matches the
     // most specific wins, so short-circuit entries (direct MSD links for
     // popular content, Section IV-C) take precedence over intermediate keys.
     const Query* next = nullptr;
-    for (const IndexNodeState::TargetRef& ref : targets) {
-      const Query& t = *ref.target;
-      if (t != target_msd && !t.covers(target_msd)) continue;
-      if (next == nullptr || t.constraints().size() > next->constraints().size()) {
-        next = ref.target;
+    if (entry != nullptr) {
+      for (const IndexNodeState::TargetRef& ref : entry->targets) {
+        if ((ref.required & ~present) != 0) continue;  // provably not covering
+        const Query& t = *ref.target;
+        if (t != target_msd && !t.covers(target_msd)) continue;
+        if (next == nullptr || t.constraints().size() > next->constraints().size()) {
+          next = ref.target;
+        }
       }
     }
+#ifdef DHTIDX_AUDIT
+    cross_check_hop(node, *q, entry, target_msd, next);
+#endif
     if (next != nullptr) {
       asked.emplace_back(node, q);
       q = next;
@@ -226,7 +265,7 @@ LookupOutcome LookupEngine::resolve(const Query& initial, const Query& target_ms
     // "an index entry is created automatically after the first lookup;
     // subsequent queries from other users can locate the data using the
     // cache entry, and hence do not experience an error" (Section V-E h).
-    if (targets.empty() && !key_has_cache_entries) outcome.non_indexed = true;
+    if (entry == nullptr && !key_has_cache_entries) outcome.non_indexed = true;
     std::vector<Query> candidates = generalization_candidates(*q);
     Query* fallback = nullptr;
     for (Query& g : candidates) {

@@ -5,10 +5,6 @@
 
 namespace dhtidx::index {
 
-namespace {
-const std::vector<IndexNodeState::TargetRef> kNoTargets;
-}
-
 std::vector<IndexNodeState::SourceEntry>::iterator IndexNodeState::lower_bound(
     const std::string& canonical) {
   return std::lower_bound(entries_.begin(), entries_.end(), canonical,
@@ -17,19 +13,19 @@ std::vector<IndexNodeState::SourceEntry>::iterator IndexNodeState::lower_bound(
                           });
 }
 
-std::vector<IndexNodeState::SourceEntry>::const_iterator IndexNodeState::find_entry(
+const IndexNodeState::SourceEntry* IndexNodeState::entry_of(
     const query::Query& source) const {
   // Probe-only: resolve through the interner without growing it. A source the
   // interner has never seen cannot have been added here.
   const query::Query* interned = interner_->find_existing(source);
-  if (interned == nullptr) return entries_.end();
+  if (interned == nullptr) return nullptr;
   const auto it = std::lower_bound(entries_.begin(), entries_.end(),
                                    interned->canonical(),
                                    [](const SourceEntry& entry, const std::string& c) {
                                      return entry.source->canonical() < c;
                                    });
-  if (it == entries_.end() || it->source != interned) return entries_.end();
-  return it;
+  if (it == entries_.end() || it->source != interned) return nullptr;
+  return &*it;
 }
 
 bool IndexNodeState::add(const query::Query& source, const query::Query& target,
@@ -44,17 +40,18 @@ bool IndexNodeState::add_interned(const query::Query* s, const query::Query* t,
   if (inserted) {
     it = entries_.insert(it, SourceEntry{s, {}});
   } else {
-    auto& targets = it->targets;
-    const auto pos = std::find_if(targets.begin(), targets.end(),
+    auto& refs = it->targets.refs_;
+    const auto pos = std::find_if(refs.begin(), refs.end(),
                                   [t](const TargetRef& r) { return r.target == t; });
-    if (pos != targets.end()) {
+    if (pos != refs.end()) {
       pos->stamp = now;  // republish refreshes
       return false;
     }
   }
   if (inserted) bytes_ += s->byte_size();
   bytes_ += t->byte_size();
-  it->targets.push_back(TargetRef{t, now});
+  it->targets.bytes_ += t->byte_size();
+  it->targets.refs_.push_back(TargetRef{t, now, query::required_bits(*t)});
   ++mapping_count_;
   return true;
 }
@@ -76,24 +73,14 @@ std::size_t IndexNodeState::expire_older_than(std::uint64_t cutoff) {
 
 std::optional<std::uint64_t> IndexNodeState::refresh_stamp(
     const query::Query& source, const query::Query& target) const {
-  const auto it = find_entry(source);
-  if (it == entries_.end()) return std::nullopt;
+  const SourceEntry* entry = entry_of(source);
+  if (entry == nullptr) return std::nullopt;
   const query::Query* t = interner_->find_existing(target);
   if (t == nullptr) return std::nullopt;
-  const auto pos = std::find_if(it->targets.begin(), it->targets.end(),
+  const auto pos = std::find_if(entry->targets.begin(), entry->targets.end(),
                                 [t](const TargetRef& r) { return r.target == t; });
-  if (pos == it->targets.end()) return std::nullopt;
+  if (pos == entry->targets.end()) return std::nullopt;
   return pos->stamp;
-}
-
-const std::vector<IndexNodeState::TargetRef>& IndexNodeState::targets_of(
-    const query::Query& source) const {
-  const auto it = find_entry(source);
-  return it == entries_.end() ? kNoTargets : it->targets;
-}
-
-bool IndexNodeState::has_source(const query::Query& source) const {
-  return find_entry(source) != entries_.end();
 }
 
 bool IndexNodeState::remove(const query::Query& source, const query::Query& target,
@@ -112,15 +99,16 @@ bool IndexNodeState::remove_interned(const query::Query* source,
   source_now_empty = false;
   const auto it = lower_bound(source->canonical());
   if (it == entries_.end() || it->source != source) return false;
-  auto& targets = it->targets;
-  const auto pos = std::find_if(targets.begin(), targets.end(), [target](const TargetRef& r) {
+  auto& refs = it->targets.refs_;
+  const auto pos = std::find_if(refs.begin(), refs.end(), [target](const TargetRef& r) {
     return r.target == target;
   });
-  if (pos == targets.end()) return false;
+  if (pos == refs.end()) return false;
   bytes_ -= target->byte_size();
-  targets.erase(pos);
+  it->targets.bytes_ -= target->byte_size();
+  refs.erase(pos);
   --mapping_count_;
-  if (targets.empty()) {
+  if (refs.empty()) {
     bytes_ -= source->byte_size();
     entries_.erase(it);
     source_now_empty = true;

@@ -24,16 +24,38 @@ namespace dhtidx::index {
 /// The index partition held by one DHT node.
 class IndexNodeState {
  public:
-  /// One registered target plus the soft-state refresh stamp of its mapping.
+  /// One registered target plus the soft-state refresh stamp of its mapping
+  /// and the target's query::required_bits (the next-hop filter's inline
+  /// summary, computed once when the mapping is added).
   struct TargetRef {
     const query::Query* target;
     std::uint64_t stamp;
+    std::uint64_t required;
   };
 
-  /// One index key (source query) and its targets in insertion order.
+  /// One key's targets in insertion order, with the running sum of their
+  /// byte_size(): the body of a lookup response, so charging it is O(1).
+  /// Only IndexNodeState mutates it, which keeps the sum exact.
+  class TargetList {
+   public:
+    std::vector<TargetRef>::const_iterator begin() const { return refs_.begin(); }
+    std::vector<TargetRef>::const_iterator end() const { return refs_.end(); }
+    std::size_t size() const { return refs_.size(); }
+    bool empty() const { return refs_.empty(); }
+    const TargetRef& front() const { return refs_.front(); }
+    /// Sum of byte_size() over the targets.
+    std::uint64_t byte_size() const { return bytes_; }
+
+   private:
+    friend class IndexNodeState;
+    std::vector<TargetRef> refs_;
+    std::uint64_t bytes_ = 0;
+  };
+
+  /// One index key (source query) and its targets.
   struct SourceEntry {
     const query::Query* source;
-    std::vector<TargetRef> targets;
+    TargetList targets;
   };
 
   /// `interner` is the query pool shared across the service (must outlive
@@ -56,12 +78,12 @@ class IndexNodeState {
   bool add_interned(const query::Query* source, const query::Query* target,
                     std::uint64_t now = 0);
 
-  /// Targets registered under `source` with their stamps, insertion order
-  /// (empty when none).
-  const std::vector<TargetRef>& targets_of(const query::Query& source) const;
+  /// The entry of index key `source`, or null when no mapping is registered
+  /// under it. Valid until the next mutation of this state.
+  const SourceEntry* entry_of(const query::Query& source) const;
 
   /// True when any mapping is registered under `source`.
-  bool has_source(const query::Query& source) const;
+  bool has_source(const query::Query& source) const { return entry_of(source) != nullptr; }
 
   /// Removes the mapping. Returns true when it existed; sets
   /// `source_now_empty` when it was the last mapping for that source.
@@ -105,7 +127,6 @@ class IndexNodeState {
  private:
   /// Sorted position of `canonical` in entries_ (insertion point when absent).
   std::vector<SourceEntry>::iterator lower_bound(const std::string& canonical);
-  std::vector<SourceEntry>::const_iterator find_entry(const query::Query& source) const;
 
   std::unique_ptr<query::QueryInterner> own_interner_;  // set when standalone
   query::QueryInterner* interner_;

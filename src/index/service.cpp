@@ -77,8 +77,10 @@ void IndexService::wire_lookup(const query::Query& q, const Id& node,
     // Serve from the contacted node's live state at delivery time.
     net::Message response = net::Message::response_to(m);
     if (const IndexNodeState* state = find_state(m.to); state != nullptr) {
-      for (const IndexNodeState::TargetRef& ref : state->targets_of(q)) {
-        response.payload.push_back(ref.target->canonical());
+      if (const IndexNodeState::SourceEntry* entry = state->entry_of(q); entry != nullptr) {
+        for (const IndexNodeState::TargetRef& ref : entry->targets) {
+          response.payload.push_back(ref.target->canonical());
+        }
       }
       if (cache != nullptr) {
         for (const query::Query* t : cache->visible(state->cache(), m.to, q)) {
@@ -262,13 +264,16 @@ IndexService::Reply IndexService::lookup(const query::Query& q, net::Action acti
   reply.replicas_tried = contacted.replicas_tried;
   reply.unreachable = contacted.unreachable;
   if (contacted.unreachable) return reply;
-  if (contacted.state != nullptr) {
-    const auto& targets = contacted.state->targets_of(q);
-    reply.targets.reserve(targets.size());
-    for (const IndexNodeState::TargetRef& ref : targets) reply.targets.push_back(ref.target);
-  }
   std::uint64_t response_bytes = net::kMessageOverheadBytes;
-  for (const query::Query* t : reply.targets) response_bytes += t->byte_size();
+  const IndexNodeState::SourceEntry* entry =
+      contacted.state != nullptr ? contacted.state->entry_of(q) : nullptr;
+  if (entry != nullptr) {
+    reply.targets.reserve(entry->targets.size());
+    for (const IndexNodeState::TargetRef& ref : entry->targets) {
+      reply.targets.push_back(ref.target);
+    }
+    response_bytes += entry->targets.byte_size();
+  }
   net::active(ledger_).responses.record(response_bytes);
   return reply;
 }

@@ -74,6 +74,31 @@ void collect_leaf_constraints(const xml::Element& node, std::vector<std::string>
   }
 }
 
+/// The one cover bit of a constraint (see required_bits): FNV-1a over its
+/// path steps and value, finished with a 64-bit mix so that every output bit
+/// depends on the whole input. Identical constraints share a bit, which is
+/// all soundness needs.
+std::uint64_t cover_bit(const Constraint& c) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto feed = [&h](std::string_view text, char end) {
+    for (const char ch : text) h = (h ^ static_cast<unsigned char>(ch)) * 0x100000001b3ULL;
+    h = (h ^ static_cast<unsigned char>(end)) * 0x100000001b3ULL;
+  };
+  for (const std::string& step : c.path) feed(step, '/');
+  if (c.value) feed(*c.value, '=');
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return std::uint64_t{1} << (h & 63);
+}
+
+/// True for a constraint that constraint_implies() derives only from an
+/// identical one: an exact value on an anchored path with no "*" step.
+bool is_plain(const Constraint& c) {
+  return c.value && !c.value_is_prefix && !c.descendant &&
+         std::find(c.path.begin(), c.path.end(), "*") == c.path.end();
+}
+
 bool needs_quoting(std::string_view value) {
   // '*' must be quoted because an unquoted "=*" means presence-only.
   return value.empty() ||
@@ -229,6 +254,20 @@ bool Query::covers(const Query& other) const {
     if (!implied) return false;
   }
   return true;
+}
+
+std::uint64_t required_bits(const Query& q) {
+  std::uint64_t bits = 0;
+  for (const Constraint& c : q.constraints()) {
+    if (is_plain(c)) bits |= cover_bit(c);
+  }
+  return bits;
+}
+
+std::uint64_t present_bits(const Query& q) {
+  std::uint64_t bits = 0;
+  for (const Constraint& c : q.constraints()) bits |= cover_bit(c);
+  return bits;
 }
 
 bool Query::is_most_specific_of(const xml::Element& doc) const {

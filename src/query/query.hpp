@@ -19,6 +19,7 @@
 #pragma once
 
 #include <compare>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -149,5 +150,16 @@ struct QueryHasher {
 /// True when constraint `general` is implied by constraint `specific` (every
 /// document satisfying `specific` satisfies `general`). Exposed for tests.
 bool constraint_implies(const Constraint& specific, const Constraint& general);
+
+/// Cover bits: a 64-bit summary that rules out most non-covering pairs
+/// without calling covers(). Each constraint hashes to one bit.
+/// required_bits(q) is the OR over q's *plain* constraints -- an exact value
+/// on an anchored path with no "*" step -- and present_bits(q) the OR over
+/// all of q's constraints. constraint_implies() accepts a plain `general`
+/// only from an identical `specific`, so a.covers(b) implies
+/// (required_bits(a) & ~present_bits(b)) == 0; a nonzero result proves
+/// that a does not cover b.
+std::uint64_t required_bits(const Query& q);
+std::uint64_t present_bits(const Query& q);
 
 }  // namespace dhtidx::query

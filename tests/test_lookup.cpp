@@ -7,6 +7,7 @@
 #include "biblio/corpus.hpp"
 #include "dht/ring.hpp"
 #include "index/builder.hpp"
+#include "persist/snapshot.hpp"
 #include "workload/structure.hpp"
 
 namespace dhtidx::index {
@@ -296,6 +297,134 @@ TEST(Lookup, VisitedNodesMatchResponsibleNodes) {
   EXPECT_EQ(outcome.visited_nodes[0], w.ring.successor(a.author_query().key()));
   EXPECT_EQ(outcome.visited_nodes[1], w.ring.successor(a.author_title_query().key()));
   EXPECT_EQ(outcome.visited_nodes[2], w.ring.successor(a.msd().key()));
+}
+
+// The bytes a lookup response for `key` carries, re-summed target by target:
+// the reference the entries' running totals must match.
+std::uint64_t resummed_response_bytes(const IndexService& service, const Query& key) {
+  std::uint64_t bytes = net::kMessageOverheadBytes;
+  for (const auto& [node, state] : service.states()) {
+    if (const IndexNodeState::SourceEntry* entry = state.entry_of(key); entry != nullptr) {
+      for (const IndexNodeState::TargetRef& ref : entry->targets) {
+        bytes += ref.target->byte_size();
+      }
+    }
+  }
+  return bytes;
+}
+
+// A key holding an intermediate target and two equal-size targets that
+// both cover the MSD, then also a short-circuit entry to the MSD itself:
+// the most specific covering target wins, the first inserted among equals,
+// and the ledger charges every target of every response.
+TEST(Lookup, NextHopTieBreakAndResponseBytes) {
+  for (const bool conf_year_first : {true, false}) {
+    World w{SchemeKind::kSimple};
+    const auto& a = w.article(0);
+    const Query key = a.author_query();
+    const Query conf_year = a.author_conference_year_query();
+    Query title_year = a.author_title_query();
+    title_year.add_field("year", std::to_string(a.year));
+    ASSERT_EQ(conf_year.constraints().size(), title_year.constraints().size());
+    ASSERT_NE(w.ring.successor(conf_year.key()), w.ring.successor(title_year.key()));
+    // The builder already mapped key -> author+title (the intermediate).
+    const Query& first = conf_year_first ? conf_year : title_year;
+    const Query& second = conf_year_first ? title_year : conf_year;
+    w.service.insert(key, first);
+    w.service.insert(key, second);
+    w.service.insert(first, a.msd());
+    w.service.insert(second, a.msd());
+
+    // Resolves key -> MSD and checks the responses it charged: one per
+    // index key asked (`hop`, when set, is the one between) plus the fetch.
+    const auto resolve_via = [&](const Query* hop) {
+      w.ledger.reset();
+      w.store.get(a.msd().key());
+      std::uint64_t expected = w.ledger.responses.bytes();
+      expected += resummed_response_bytes(w.service, key);
+      if (hop != nullptr) expected += resummed_response_bytes(w.service, *hop);
+      w.ledger.reset();
+      const auto outcome = w.engine.resolve(key, a.msd());
+      EXPECT_TRUE(outcome.found);
+      EXPECT_EQ(w.ledger.responses.bytes(), expected);
+      return outcome;
+    };
+    const auto tied = resolve_via(&first);
+    ASSERT_EQ(tied.visited_nodes.size(), 3u);
+    EXPECT_EQ(tied.visited_nodes[1], w.ring.successor(first.key()));
+
+    // A short-circuit entry is the most specific covering target of all.
+    w.builder.add_shortcircuit(key, a.msd());
+    const auto direct = resolve_via(nullptr);
+    ASSERT_EQ(direct.visited_nodes.size(), 2u);
+    EXPECT_EQ(direct.visited_nodes[1], w.ring.successor(a.msd().key()));
+  }
+}
+
+std::uint64_t running_byte_total(const IndexService& service) {
+  std::uint64_t total = 0;
+  for (const auto& [node, state] : service.states()) {
+    for (const auto& [source, targets] : state.entries()) total += targets.byte_size();
+  }
+  return total;
+}
+
+void expect_running_totals_exact(const IndexService& service, const char* phase) {
+  for (const auto& [node, state] : service.states()) {
+    for (const auto& [source, targets] : state.entries()) {
+      std::uint64_t sum = 0;
+      for (const IndexNodeState::TargetRef& ref : targets) sum += ref.target->byte_size();
+      EXPECT_EQ(targets.byte_size(), sum) << phase << ": " << source->canonical();
+    }
+  }
+}
+
+TEST(Lookup, EntryByteTotalsTrackEveryMutation) {
+  World w{SchemeKind::kFlat};
+  expect_running_totals_exact(w.service, "add");
+  const std::uint64_t built = running_byte_total(w.service);
+  ASSERT_GT(built, 0u);
+
+  // A refresh restamps the mapping; it must not count the target again.
+  for (const auto& a : w.corpus->articles()) w.builder.republish(a.descriptor(), 5);
+  expect_running_totals_exact(w.service, "republish");
+  EXPECT_EQ(running_byte_total(w.service), built);
+
+  EXPECT_GT(w.builder.remove_file(w.article(0).descriptor()), 0u);
+  expect_running_totals_exact(w.service, "remove");
+  const std::uint64_t removed = running_byte_total(w.service);
+  EXPECT_LT(removed, built);
+
+  for (std::size_t i = 1; i < w.corpus->size(); i += 2) {
+    w.builder.republish(w.article(i).descriptor(), 10);
+  }
+  EXPECT_GT(w.service.expire(10), 0u);
+  expect_running_totals_exact(w.service, "expire");
+  const std::uint64_t expired = running_byte_total(w.service);
+  EXPECT_LT(expired, removed);
+
+  // Migration: the busiest node departs and rebalance() moves its entries.
+  Id busiest;
+  std::size_t most = 0;
+  for (const auto& [node, state] : w.service.states()) {
+    if (state.mapping_count() > most) {
+      most = state.mapping_count();
+      busiest = node;
+    }
+  }
+  w.ring.remove(busiest);
+  EXPECT_GT(w.service.rebalance(), 0u);
+  EXPECT_EQ(w.service.find_state(busiest), nullptr);
+  expect_running_totals_exact(w.service, "rebalance");
+  EXPECT_EQ(running_byte_total(w.service), expired);
+
+  net::TrafficLedger ledger;
+  dht::Ring ring = dht::Ring::with_nodes(25);
+  storage::DhtStore store{ring, ledger};
+  IndexService restored{ring, ledger};
+  persist::load_snapshot(persist::save_snapshot(w.service, w.store), restored, store);
+  expect_running_totals_exact(restored, "restore");
+  EXPECT_EQ(running_byte_total(restored), expired);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // of the paper and by algebraic properties.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
 #include <vector>
 
 #include "query/query.hpp"
@@ -237,6 +239,119 @@ TEST(CoveringSemantics, CoversImpliesMatchSupersetOnConcreteDocs) {
       }
     }
   }
+}
+
+// Cover-bit soundness: a.covers(b) must imply
+// (required_bits(a) & ~present_bits(b)) == 0, or the next-hop filter would
+// drop a covering target. Pairs come from a generator that mixes every
+// constraint shape the parser accepts -- exact, ^= prefix, presence-only, //
+// descendant, "*" steps -- on both sides, with a "*" root now and then, and
+// derives most `a` from `b` by dropping and weakening constraints so that
+// many pairs do cover.
+class QueryPairGenerator {
+ public:
+  explicit QueryPairGenerator(std::uint32_t seed) : rng_(seed) {}
+
+  Constraint random_constraint() {
+    static const std::vector<std::vector<std::string>> kPaths = {
+        {"author", "first"}, {"author", "last"}, {"title"},
+        {"conf"},            {"year"},           {"editor", "contact", "last"}};
+    static const std::vector<std::string> kValues = {"Smith", "Smi", "S", "John",
+                                                     "TCP",   "1996", "a*b", ""};
+    Constraint c;
+    c.path = kPaths[pick(kPaths.size())];
+    c.value = kValues[pick(kValues.size())];
+    if (pick(6) == 0) weaken(c);  // else exact, the common case
+    return c;
+  }
+
+  /// Turns `c` into a constraint it implies (or leaves it as is).
+  void weaken(Constraint& c) {
+    switch (pick(5)) {
+      case 0:  // presence-only
+        c.value.reset();
+        c.value_is_prefix = false;
+        break;
+      case 1:  // prefix of the value
+        if (c.value) {
+          c.value = c.value->substr(0, pick(c.value->size() + 1));
+          c.value_is_prefix = true;
+        }
+        break;
+      case 2:  // // over a suffix of the path
+        c.path.erase(c.path.begin(), c.path.begin() + static_cast<long>(pick(c.path.size())));
+        c.descendant = true;
+        break;
+      case 3:  // one step becomes "*"
+        c.path[pick(c.path.size())] = "*";
+        break;
+      default:
+        break;
+    }
+  }
+
+  Query random_query(bool star_root) {
+    Query q{star_root ? "*" : "article"};
+    const std::size_t n = 1 + pick(4);
+    for (std::size_t i = 0; i < n; ++i) q.add_constraint(random_constraint());
+    return q;
+  }
+
+  /// A query derived from `b`: a subset of its constraints, some weakened.
+  Query generalize(const Query& b) {
+    Query a{pick(8) == 0 ? std::string{"*"} : b.root()};
+    for (Constraint c : b.constraints()) {
+      if (pick(3) == 0) continue;
+      if (pick(2) == 0) weaken(c);
+      a.add_constraint(std::move(c));
+    }
+    return a;
+  }
+
+  std::size_t pick(std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>{0, n - 1}(rng_);
+  }
+
+ private:
+  std::mt19937 rng_;
+};
+
+TEST(CoverBits, CoveringPairsPassTheFilter) {
+  QueryPairGenerator gen{2004};
+  int covering = 0;
+  int covering_with_required_bits = 0;
+  int filtered = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const Query b = gen.random_query(/*star_root=*/gen.pick(10) == 0);
+    const Query a = gen.pick(4) == 0 ? gen.random_query(gen.pick(10) == 0) : gen.generalize(b);
+    const bool passes = (required_bits(a) & ~present_bits(b)) == 0;
+    if (!passes) ++filtered;
+    if (!a.covers(b)) continue;
+    ++covering;
+    if (required_bits(a) != 0) ++covering_with_required_bits;
+    EXPECT_TRUE(passes) << a.canonical() << " covers " << b.canonical();
+  }
+  // The pairs exercise both sides of the filter.
+  EXPECT_GT(covering, 10000);
+  EXPECT_GT(covering_with_required_bits, 5000);
+  EXPECT_GT(filtered, 2000);
+}
+
+TEST(CoverBits, OnlyPlainConstraintsAreRequired) {
+  // Each of these covers /article[author/last=Smith] without an identical
+  // constraint, so none may require a bit.
+  const Query msd = Query::parse("/article[author/last=Smith][title=TCP]");
+  for (const char* general : {"/article[author/last^=Sm]", "/article[author/last=*]",
+                              "/article[//last=Smith]", "/article[*/last=Smith]", "/*"}) {
+    const Query g = Query::parse(general);
+    ASSERT_TRUE(g.covers(msd)) << general;
+    EXPECT_EQ(required_bits(g), 0u) << general;
+  }
+  const Query plain = Query::parse("/article[author/last=Smith]");
+  EXPECT_NE(required_bits(plain), 0u);
+  EXPECT_EQ(required_bits(plain) & ~present_bits(msd), 0u);
+  // An MSD's constraints are all plain: it requires every bit it presents.
+  EXPECT_EQ(required_bits(msd), present_bits(msd));
 }
 
 }  // namespace
