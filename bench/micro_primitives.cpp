@@ -19,6 +19,7 @@
 #include "index/builder.hpp"
 #include "index/lookup.hpp"
 #include "net/codec.hpp"
+#include "query/interner.hpp"
 #include "query/query.hpp"
 #include "workload/streaming.hpp"
 
@@ -91,6 +92,48 @@ void BM_QueryMatches(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QueryMatches);
+
+// Copying a flat most-specific query: what every mapping, pending intern
+// request and cache entry built from an article pays. Short constraint paths
+// sit in their string's inline buffer, so only values and the constraint
+// array allocate.
+void BM_QueryCopy(benchmark::State& state) {
+  biblio::Article a;
+  a.first_name = "John";
+  a.last_name = "Smith";
+  a.title = "Scalable distributed indexing";
+  a.conference = "ICDCS";
+  a.year = 2004;
+  a.file_bytes = 1;
+  const query::Query msd = a.msd();
+  msd.key();
+  for (auto _ : state) {
+    query::Query copy = msd;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_QueryCopy);
+
+// Filling an interner with N most-specific queries of streamed articles and
+// destroying it: the pool a streamed world builds and tears down.
+void BM_InternerTeardown(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  biblio::CorpusConfig config;
+  config.articles = n;
+  const biblio::ArticleStream stream{config};
+  std::vector<query::Query> msds;
+  msds.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    msds.push_back(stream.article(i).msd());
+    msds.back().key();
+  }
+  for (auto _ : state) {
+    query::QueryInterner pool;
+    for (const query::Query& msd : msds) benchmark::DoNotOptimize(pool.intern(msd));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_InternerTeardown)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 // Streaming generators (biblio/stream.hpp, workload/streaming.hpp): the cost
 // of synthesizing one article / one query request from its counter. This is

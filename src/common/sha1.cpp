@@ -32,10 +32,11 @@ void Sha1::update(const void* data, std::size_t len) {
 
 Sha1Digest Sha1::finish() {
   const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad_one = 0x80;
-  update(&pad_one, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(&zero, 1);
+  // 0x80, then zeros up to 56 bytes into a block: at most 64 bytes of
+  // padding, absorbed in one update.
+  static constexpr std::array<std::uint8_t, 64> kPadding = {0x80};
+  const std::size_t pad = buffered_ < 56 ? 56 - buffered_ : 120 - buffered_;
+  update(kPadding.data(), pad);
   std::array<std::uint8_t, 8> length_be;
   for (int i = 0; i < 8; ++i) {
     length_be[static_cast<std::size_t>(i)] =

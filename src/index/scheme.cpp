@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace dhtidx::index {
 
@@ -139,7 +140,7 @@ query::Query IndexingScheme::project(const query::Query& msd,
   std::vector<std::size_t> keep;
   const auto& constraints = msd.constraints();
   for (std::size_t i = 0; i < constraints.size(); ++i) {
-    const std::string& field = constraints[i].path.front();
+    const std::string_view field = constraints[i].first_step();
     if (std::find(fields.begin(), fields.end(), field) != fields.end()) {
       keep.push_back(i);
     }
@@ -160,7 +161,7 @@ std::vector<Mapping> IndexingScheme::mappings_for(const query::Query& msd) const
   for (const PathRule& rule : path_rules_) {
     const query::Constraint* field = nullptr;
     for (const query::Constraint& c : msd.constraints()) {
-      if (c.path == rule.path && c.value && !c.value_is_prefix) {
+      if (c.value && !c.value_is_prefix && query::path_equals(c.path, rule.path)) {
         field = &c;
         break;
       }
@@ -176,7 +177,7 @@ std::vector<Mapping> IndexingScheme::mappings_for(const query::Query& msd) const
     // Find the exact-value constraint at the rule's path in the MSD.
     const query::Constraint* field = nullptr;
     for (const query::Constraint& c : msd.constraints()) {
-      if (c.path == rule.path && c.value && !c.value_is_prefix) {
+      if (c.value && !c.value_is_prefix && query::path_equals(c.path, rule.path)) {
         field = &c;
         break;
       }
@@ -186,7 +187,7 @@ std::vector<Mapping> IndexingScheme::mappings_for(const query::Query& msd) const
     if (length == 0) continue;
     query::Query source{msd.root()};
     query::Constraint prefix;
-    prefix.path = rule.path;
+    prefix.path = join(rule.path, "/");
     prefix.value = field->value->substr(0, length);
     prefix.value_is_prefix = true;
     source.add_constraint(std::move(prefix));

@@ -7,12 +7,11 @@ const Query* QueryInterner::intern_impl(Query&& q) {
   // capability is structural, asserted rather than locked.
   intern_phase_.assert_exclusive();
   const auto it = pool_.find(std::string_view{q.canonical()});
-  if (it != pool_.end()) return it->second.get();
-  auto owned = std::make_unique<const Query>(std::move(q));
-  owned->key();  // pre-warm: interned queries never race on lazy caches
-  const Query* interned = owned.get();
-  pool_.emplace(std::string_view{interned->canonical()}, std::move(owned));
-  return interned;
+  if (it != pool_.end()) return it->second;
+  const Query& interned = arena_.emplace_back(std::move(q));
+  interned.key();  // pre-warm: interned queries never race on lazy caches
+  pool_.emplace(std::string_view{interned.canonical()}, &interned);
+  return &interned;
 }
 
 }  // namespace dhtidx::query

@@ -25,7 +25,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <deque>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -63,7 +64,7 @@ class QueryInterner {
   const Query* find_existing(const Query& q) const {
     intern_phase_.assert_shared();  // reads are safe: pool frozen outside the serial phase
     const auto it = pool_.find(std::string_view{q.canonical()});
-    return it == pool_.end() ? nullptr : it->second.get();
+    return it == pool_.end() ? nullptr : it->second;
   }
 
   /// Number of distinct queries interned.
@@ -81,11 +82,16 @@ class QueryInterner {
   /// frozen whenever workers run concurrently.
   PhaseCapability intern_phase_;
 
-  // Keys are views into each stored query's canonical cache, which is
-  // immutable (and heap-stable) once the query is interned.
-  // dhtidx-lint: allow(hot-path-map) "hash arena keyed by canonical form; iteration order is never observed, so determinism is unaffected"
-  std::unordered_map<std::string_view, std::unique_ptr<const Query>> pool_
-      DHTIDX_GUARDED_BY(intern_phase_);
+  // The arena proper, in insertion order. A deque never relocates its
+  // elements on push_back, and its move constructor and move assignment
+  // hand the element blocks over as they are, so refs stay valid for the
+  // interner's lifetime, across a move of the interner too. Teardown then
+  // frees the queries in the order they were allocated.
+  std::deque<Query> arena_ DHTIDX_GUARDED_BY(intern_phase_);
+  // Probe table. Keys are views into each stored query's canonical cache,
+  // which is immutable once the query is interned.
+  // dhtidx-lint: allow(hot-path-map) "hash probe table keyed by canonical form; iteration order is never observed, so determinism is unaffected"
+  std::unordered_map<std::string_view, const Query*> pool_ DHTIDX_GUARDED_BY(intern_phase_);
 };
 
 /// Epoch-scoped intern requests, shared by the sharded build's producers and
@@ -94,6 +100,14 @@ class QueryInterner {
 /// form, and resolved to interned refs by the serial intern sub-phase
 /// between the parallel phases (DESIGN.md sections 12 and 15).
 struct InternRequests {
+  /// Transparent string hash: pending_index is probed with views.
+  struct CanonicalHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view text) const {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
+
   /// Marks a ref that was pooled at emission time (no pending slot).
   static constexpr std::uint32_t kNoPending = 0xFFFFFFFFu;
 
@@ -104,9 +118,11 @@ struct InternRequests {
   PhaseCapability phase_;
   /// New queries, in emission order.
   std::vector<Query> pending DHTIDX_GUARDED_BY(phase_);
-  /// canonical -> idx into pending. Exact-key probes only.
+  /// canonical -> idx into pending. Exact-key probes only, by string_view,
+  /// so a probe copies nothing.
   // dhtidx-lint: allow(hot-path-map) "exact-key dedup probe table, never iterated; cleared every epoch"
-  std::unordered_map<std::string, std::uint32_t> pending_index DHTIDX_GUARDED_BY(phase_);
+  std::unordered_map<std::string, std::uint32_t, CanonicalHash, std::equal_to<>> pending_index
+      DHTIDX_GUARDED_BY(phase_);
   /// pending[i] -> interned ref.
   std::vector<const Query*> resolved DHTIDX_GUARDED_BY(phase_);
 
@@ -162,8 +178,8 @@ struct InternRequests {
  private:
   void enqueue(Query&& q, const Query*& ref, std::uint32_t& pending_slot)
       DHTIDX_REQUIRES(phase_) {
-    const std::string canonical = q.canonical();
-    const auto it = pending_index.find(canonical);
+    const std::string& canonical = q.canonical();
+    const auto it = pending_index.find(std::string_view{canonical});
     ref = nullptr;
     if (it != pending_index.end()) {
       pending_slot = it->second;

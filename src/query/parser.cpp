@@ -170,19 +170,22 @@ class Parser {
     if (root.value || root.presence_marker) {
       fail("the root element cannot carry a value");
     }
-    std::vector<std::string> path;
+    std::string path;
     for (const PNode& child : root.children) {
       flatten_subtree(child, path, /*descendant=*/child.descendant, q);
     }
     return q;
   }
 
-  void flatten_subtree(const PNode& node, std::vector<std::string>& path, bool descendant,
-                       Query& q) {
+  /// `path` is the slash-joined chain down to `node`'s parent; it is
+  /// extended in place by `node`'s name and restored before returning.
+  void flatten_subtree(const PNode& node, std::string& path, bool descendant, Query& q) {
     if (node.descendant && !path.empty()) {
       fail("'//' is only supported at the start of a constraint path");
     }
-    path.push_back(node.name);
+    const std::size_t mark = path.size();
+    if (mark != 0) path.push_back('/');
+    path += node.name;
     if (node.children.empty()) {
       Constraint c;
       c.descendant = descendant;
@@ -190,12 +193,12 @@ class Parser {
         c.path = path;
         c.value = node.value;
         c.value_is_prefix = node.prefix_value;
-      } else if (node.presence_marker || path.size() == 1) {
+      } else if (node.presence_marker || mark == 0) {
         c.path = path;  // presence-only
       } else {
         // Paper convention: the last segment is the value of the rest.
-        c.path.assign(path.begin(), path.end() - 1);
-        c.value = path.back();
+        c.path.assign(path, 0, mark);
+        c.value = node.name;
       }
       q.add_constraint(std::move(c));
     } else {
@@ -206,7 +209,7 @@ class Parser {
         flatten_subtree(child, path, descendant, q);
       }
     }
-    path.pop_back();
+    path.resize(mark);
   }
 
   std::string_view input_;

@@ -9,6 +9,11 @@
 //   segment-chain := segment ('/' segment)* ('=' value)?
 //   value      := quoted | bare          (quoted: '...' with \-escapes)
 //
+// A bare value runs up to the next '[' or ']' and loses its leading and
+// trailing whitespace. Query::canonical() therefore quotes every value that
+// is empty, begins or ends with whitespace, or contains one of [ ] = / ' \ *,
+// so that parsing a canonical string gives back the same query (and key).
+//
 // Interpretation rules (these resolve the ambiguity of the paper's notation,
 // where /article/title/TCP means title = "TCP"):
 //   - An explicit '=value' binds the value to the full segment chain.

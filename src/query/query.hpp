@@ -37,17 +37,37 @@ namespace dhtidx::query {
 /// only portions of element names", e.g. an index of all authors starting
 /// with the letter "A"). When `descendant` is true the path may match at
 /// any depth (XPath //).
+///
+/// The path is one slash-joined string ("author/last"), so the short paths
+/// of real descriptors live in the string's inline buffer and copying a
+/// constraint allocates nothing for its path. Steps are never empty
+/// (add_constraint rejects "", "a//b", "/a" and "a/").
 struct Constraint {
-  std::vector<std::string> path;      ///< element names; "*" matches any name
+  std::string path;                   ///< slash-joined element names; a "*" step matches any name
   std::optional<std::string> value;   ///< exact or prefix text, or presence-only
   bool descendant = false;            ///< true for // paths
   bool value_is_prefix = false;       ///< value is a prefix pattern (^= syntax)
 
-  /// "author/last" convenience rendering of the path.
-  std::string path_string() const;
+  /// "author/last" rendering of the path.
+  const std::string& path_string() const { return path; }
 
-  auto operator<=>(const Constraint&) const = default;
+  /// The top-level field: the path up to its first '/'.
+  std::string_view first_step() const {
+    return std::string_view{path}.substr(0, path.find('/'));
+  }
+
+  /// Orders by path, then value, descendant, value_is_prefix. Paths compare
+  /// step by step, exactly as vectors of their steps would: a step boundary
+  /// ('/') sorts before any character, and the end of a path before a
+  /// boundary. Normalization order, and hence canonical strings and DHT
+  /// keys, depend on exactly this order.
+  std::strong_ordering operator<=>(const Constraint& other) const;
+  bool operator==(const Constraint&) const = default;
 };
+
+/// True when the slash-joined `path` has exactly the steps `steps`, without
+/// joining them.
+bool path_equals(std::string_view path, const std::vector<std::string>& steps);
 
 /// A normalized conjunctive query. Regular value type.
 class Query {

@@ -353,16 +353,20 @@ void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
         }
 
         // The scheme's mappings, one op per replica placement of the source
-        // key (mirrors IndexService::insert_interned).
+        // key (mirrors IndexService::insert_interned). The key comes from
+        // the source's interned ref or pending slot, so each distinct source
+        // is hashed once, not once per article that maps to it.
         std::vector<index::Mapping> mappings = scheme.mappings_for(msd);
         for (index::Mapping& m : mappings) {
-          const Id source_key = m.source.key();
           Op op;
           op.vt = i;
           producer.interns.resolve(interner, std::move(m.source), op.source,
                                    op.source_pending);
           producer.interns.resolve(interner, std::move(m.target), op.target,
                                    op.target_pending);
+          const Id source_key = op.source != nullptr
+                                    ? op.source->key()
+                                    : producer.interns.pending[op.source_pending].key();
           for (const Id& replica : dht.replica_set(source_key, replication)) {
             Op placed = op;
             placed.seq = seq++;

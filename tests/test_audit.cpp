@@ -74,7 +74,7 @@ class CorruptibleSystem {
       const auto& constraints = m.source.constraints();
       const bool has_title =
           std::any_of(constraints.begin(), constraints.end(),
-                      [](const query::Constraint& c) { return c.path.front() == "title"; });
+                      [](const query::Constraint& c) { return c.first_step() == "title"; });
       if (!has_title) continue;  // keep the conf+year hop intact
       bool source_now_empty = false;
       ASSERT_TRUE(service_.remove(m.source, m.target, source_now_empty));

@@ -5,7 +5,9 @@
 // pointer-identity probes in the index and shortcut caches.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "common/flat_map.hpp"
 #include "common/id.hpp"
@@ -48,7 +50,7 @@ TEST(QueryKeyCache, EveryMutatorKeepsKeyConsistent) {
   EXPECT_EQ(q.key(), Id::hash(q.canonical()));
 
   query::Constraint extra;
-  extra.path = {"journal"};
+  extra.path = "journal";
   extra.value = "TON";
   q.add_constraint(extra);
   EXPECT_EQ(q.key(), Id::hash(q.canonical()));
@@ -129,6 +131,46 @@ TEST(QueryInternerTest, PointersStayValidAsThePoolGrows) {
     EXPECT_EQ(first_batch[i],
               interner.intern(Query{"article"}.add_field("year", std::to_string(1980 + i))));
   }
+}
+
+TEST(QueryInternerTest, RefsSurviveAHundredThousandInternsAndAMove) {
+  // Short canonical forms ("/a[y=7]") live in the string's inline buffer,
+  // so the pool's string_view keys are only valid while the queries
+  // themselves never move: not as the arena grows, not when the interner
+  // is moved.
+  constexpr int kQueries = 100000;
+  const auto make = [](int i) {
+    Query q{"a"};
+    if (i % 2 == 0) {
+      q.add_field("y", std::to_string(i));
+    } else {
+      q.add_field("author/last", "L" + std::to_string(i)).add_field("title", "T");
+    }
+    return q;
+  };
+  QueryInterner interner;
+  std::vector<const Query*> refs;
+  refs.reserve(kQueries);
+  for (int i = 0; i < kQueries; ++i) refs.push_back(interner.intern(make(i)));
+  ASSERT_EQ(interner.size(), static_cast<std::size_t>(kQueries));
+
+  const auto check = [&](QueryInterner& pool) {
+    for (int i = 0; i < kQueries; i += 97) {
+      const Query expected = make(i);
+      ASSERT_EQ(*refs[i], expected);
+      ASSERT_EQ(refs[i]->key(), Id::hash(expected.canonical()));
+      ASSERT_EQ(pool.find_existing(expected), refs[i]);
+      ASSERT_EQ(pool.intern(expected), refs[i]);
+    }
+    EXPECT_EQ(pool.size(), static_cast<std::size_t>(kQueries));
+  };
+  check(interner);
+  QueryInterner moved{std::move(interner)};
+  check(moved);
+  QueryInterner assigned;
+  assigned.intern(make(-1));
+  assigned = std::move(moved);
+  check(assigned);
 }
 
 TEST(QueryInternerTest, DistinctQueriesGetDistinctInstances) {

@@ -4,8 +4,10 @@
 
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "query/query.hpp"
 #include "xml/parser.hpp"
 
@@ -131,10 +133,10 @@ TEST(Covering, DescendantSuffixMatching) {
 
 TEST(ConstraintImplies, ValueRules) {
   Constraint smith;
-  smith.path = {"author", "last"};
+  smith.path = "author/last";
   smith.value = "Smith";
   Constraint presence;
-  presence.path = {"author", "last"};
+  presence.path = "author/last";
   Constraint doe = smith;
   doe.value = "Doe";
   EXPECT_TRUE(constraint_implies(smith, presence));
@@ -253,9 +255,9 @@ class QueryPairGenerator {
   explicit QueryPairGenerator(std::uint32_t seed) : rng_(seed) {}
 
   Constraint random_constraint() {
-    static const std::vector<std::vector<std::string>> kPaths = {
-        {"author", "first"}, {"author", "last"}, {"title"},
-        {"conf"},            {"year"},           {"editor", "contact", "last"}};
+    static const std::vector<std::string> kPaths = {
+        "author/first", "author/last", "title",
+        "conf",         "year",        "editor/contact/last"};
     static const std::vector<std::string> kValues = {"Smith", "Smi", "S", "John",
                                                      "TCP",   "1996", "a*b", ""};
     Constraint c;
@@ -278,13 +280,19 @@ class QueryPairGenerator {
           c.value_is_prefix = true;
         }
         break;
-      case 2:  // // over a suffix of the path
-        c.path.erase(c.path.begin(), c.path.begin() + static_cast<long>(pick(c.path.size())));
+      case 2: {  // // over a suffix of the path
+        std::vector<std::string> steps = split(c.path, '/');
+        steps.erase(steps.begin(), steps.begin() + static_cast<long>(pick(steps.size())));
+        c.path = join(steps, "/");
         c.descendant = true;
         break;
-      case 3:  // one step becomes "*"
-        c.path[pick(c.path.size())] = "*";
+      }
+      case 3: {  // one step becomes "*"
+        std::vector<std::string> steps = split(c.path, '/');
+        steps[pick(steps.size())] = "*";
+        c.path = join(steps, "/");
         break;
+      }
       default:
         break;
     }

@@ -4,8 +4,12 @@
 // generalization operators must behave monotonically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "query/query.hpp"
 #include "xml/node.hpp"
@@ -152,6 +156,96 @@ TEST_P(QueryFuzzTest, CoveringIsTransitiveOnRandomTriples) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueryFuzzTest, ::testing::Range<std::uint64_t>(0, 12));
+
+/// The parser's contract on arbitrary bytes: either a ParseError, or a query
+/// whose canonical string parses back to the same query (and key). Any
+/// other exception escapes and fails the test.
+void expect_rejected_or_round_trips(const std::string& input, int& accepted) {
+  Query q;
+  try {
+    q = Query::parse(input);
+  } catch (const ParseError&) {
+    return;
+  }
+  ++accepted;
+  Query reparsed;
+  try {
+    reparsed = Query::parse(q.canonical());
+  } catch (const ParseError& e) {
+    ADD_FAILURE() << "canonical " << q.canonical() << " of input " << input
+                  << " does not re-parse: " << e.what();
+    return;
+  }
+  EXPECT_EQ(reparsed, q) << "input " << input << " canonical " << q.canonical();
+  EXPECT_EQ(reparsed.key(), q.key()) << "input " << input;
+}
+
+TEST(QueryParserFuzz, RandomBuffersAreRejectedOrRoundTrip) {
+  // 5k buffers: half uniform bytes, half drawn from the grammar's own
+  // punctuation and a few name and whitespace characters, most behind a
+  // leading '/' so that they get past the first token.
+  static constexpr std::string_view kGrammar = "/[]=^*'\\ \tab1_.-:abtab/[]=";
+  Rng rng{0x5eed};
+  int accepted = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const bool uniform = i % 2 == 0;
+    std::string input = rng.next_bool(0.8) ? "/" : "";
+    const std::size_t length = rng.next_index(uniform ? 48 : 24);
+    for (std::size_t k = 0; k < length; ++k) {
+      input.push_back(uniform ? static_cast<char>(rng.next_index(256))
+                              : kGrammar[rng.next_index(kGrammar.size())]);
+    }
+    expect_rejected_or_round_trips(input, accepted);
+  }
+  EXPECT_GT(accepted, 100);  // the sweep must reach past the first token
+}
+
+TEST(QueryParserFuzz, MutatedSeedQueriesAreRejectedOrRoundTrip) {
+  // 2k mutations of valid queries covering every construct: nested
+  // predicates, the paper's /a/b/v form, //, "*" steps and root, ^=,
+  // presence markers, quoted values with escapes and edge whitespace.
+  const std::string seeds[] = {
+      "/article[author[first/John][last/Smith]][title/TCP][conf/SIGCOMM]",
+      "/article/author/last/Smith",
+      "/article/author[first/John][last/Smith]",
+      "/article[//last/Smith][year=1996]",
+      "/article[*/last=Smith][author/first=*]",
+      "/*[title^=TC][conf^='IN ']",
+      "/article[title='A = B [sic] /ok\\' quote'][pages='*']",
+      "/article[title=' padded '][conf=x y]",
+      "/article[//editor/contact[last=Doe][first=J]]",
+      "/article[year][author/last=*]",
+  };
+  static constexpr std::string_view kInsert = "/[]=^*' \\ab.";
+  Rng rng{0xf022};
+  int accepted = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string input = seeds[rng.next_index(std::size(seeds))];
+    const std::size_t mutations = 1 + rng.next_index(3);
+    for (std::size_t m = 0; m < mutations; ++m) {
+      const std::size_t at = rng.next_index(input.size() + 1);
+      switch (rng.next_index(4)) {
+        case 0:  // insert a grammar character
+          input.insert(at, 1, kInsert[rng.next_index(kInsert.size())]);
+          break;
+        case 1:  // delete a byte
+          if (at < input.size()) input.erase(at, 1);
+          break;
+        case 2:  // overwrite with an arbitrary byte
+          if (at < input.size()) input[at] = static_cast<char>(rng.next_index(256));
+          break;
+        default: {  // duplicate a short slice
+          const std::size_t len = std::min<std::size_t>(input.size() - std::min(at, input.size()),
+                                                        1 + rng.next_index(8));
+          input.insert(at, input.substr(at, len));
+          break;
+        }
+      }
+    }
+    expect_rejected_or_round_trips(input, accepted);
+  }
+  EXPECT_GT(accepted, 200);
+}
 
 }  // namespace
 }  // namespace dhtidx::query

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "common/id.hpp"
 
@@ -50,6 +51,26 @@ TEST(Sha1, FiftyFiveAndFiftySixBytes) {
   // 55 bytes: length fits after 0x80 in the same block; 56 bytes: it doesn't.
   EXPECT_EQ(hex(Sha1::hash(std::string(55, 'q'))).size(), 40u);
   EXPECT_NE(hex(Sha1::hash(std::string(55, 'q'))), hex(Sha1::hash(std::string(56, 'q'))));
+}
+
+TEST(Sha1, PaddingBoundaryDigests) {
+  // Every padding shape finish() can take: the 0x80 byte and the length in
+  // the same block (n % 64 < 56) or spilling into a second one, at and around
+  // each block boundary. Reference digests from Python's hashlib.sha1.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {0, "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
+      {1, "86f7e437faa5a7fce15d1ddcb9eaeaea377667b8"},
+      {55, "c1c8bbdc22796e28c0e15163d20899b65621d65a"},
+      {56, "c2db330f6083854c99d4b5bfb6e8f29f201be699"},
+      {63, "03f09f5b158a7a8cdad920bddc29b81c18a551f5"},
+      {64, "0098ba824b5c16427bd7a1122a5a442a25ec644d"},
+      {65, "11655326c708d70319be2610e8a57d9a5b959d3b"},
+      {119, "ee971065aaa017e0632a8ca6c77bb3bf8b1dfc56"},
+      {120, "f34c1488385346a55709ba056ddd08280dd4c6d6"},
+  };
+  for (const auto& [n, digest] : cases) {
+    EXPECT_EQ(hex(Sha1::hash(std::string(n, 'a'))), digest) << n << " bytes";
+  }
 }
 
 class Sha1ChunkingTest : public ::testing::TestWithParam<int> {};
