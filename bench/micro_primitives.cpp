@@ -311,6 +311,47 @@ void BM_EncodeReuse(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeReuse);
 
+/// A lookup reply carrying `targets` items of canonical-query size: each is
+/// the canonical form of a most-specific article descriptor query, the shape
+/// a lookup returns (the paper_wire replies carry ~55 targets, p99 626).
+net::Message lookup_reply(std::size_t targets) {
+  net::Message m = net::Message::response_to(
+      net::Message::request(net::Action::kLookup, Id{}, Id::hash("to")));
+  m.request_id = 0x1234567890ABCDEFull;
+  for (std::size_t i = 0; i < targets; ++i) {
+    const std::string n = std::to_string(i);
+    m.payload.push_back(query::Query::parse("/article[author[first/John][last/Smith" + n +
+                                            "]][title/TCP" + n +
+                                            "][conf/SIGCOMM][year/1989][size/315635]")
+                            .canonical());
+  }
+  return m;
+}
+
+// Decode one lookup reply: validates every item's framing, then adopts the
+// item section with one copy, however many targets it carries.
+void BM_DecodeLookupReply(benchmark::State& state) {
+  const std::string frame =
+      net::codec::encode(lookup_reply(static_cast<std::size_t>(state.range(0))));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::codec::decode(frame));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(frame.size()));
+}
+BENCHMARK(BM_DecodeLookupReply)->Arg(4)->Arg(55)->Arg(626);
+
+// Copy a lookup reply, as the bus does when it parks a delivered response:
+// one allocation for the payload buffer.
+void BM_MessageCopy(benchmark::State& state) {
+  const net::Message m = lookup_reply(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    net::Message copy = m;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_MessageCopy)->Arg(55);
+
 /// Shared world for the composite hot-path benchmarks: a mid-size corpus
 /// fully indexed over a 100-node ring. Built once per process.
 struct BenchWorld {

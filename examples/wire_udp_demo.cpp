@@ -34,23 +34,24 @@ class IndexNode : public net::MessageSink {
     switch (message.action) {
       case net::Action::kPublish: {
         // Payload: [source canonical, target canonical]. Ack with no data.
-        mappings_[message.payload.at(0)].push_back(message.payload.at(1));
-        std::printf("  node  <- publish  %-38s (%llu wire bytes)\n",
-                    message.payload.at(0).c_str(),
+        const std::string source{message.payload.at(0)};
+        mappings_[source].push_back(message.payload.at(1));
+        std::printf("  node  <- publish  %-38s (%llu wire bytes)\n", source.c_str(),
                     static_cast<unsigned long long>(wire_bytes));
         transport_.send(net::Message::ack_to(message));
         return;
       }
       case net::Action::kLookup: {
         net::Message response = net::Message::response_to(message);
-        const auto it = mappings_.find(message.payload.at(0));
+        const std::string source{message.payload.at(0)};
+        const auto it = mappings_.find(source);
         if (it == mappings_.end()) {
           response.status = net::Status::kNotFound;
         } else {
           response.payload = it->second;
         }
         std::printf("  node  <- lookup   %-38s -> %zu target(s)\n",
-                    message.payload.at(0).c_str(), response.payload.size());
+                    source.c_str(), response.payload.size());
         transport_.send(response);
         return;
       }
@@ -62,7 +63,7 @@ class IndexNode : public net::MessageSink {
  private:
   Id id_;
   net::UdpTransport transport_;
-  std::map<std::string, std::vector<std::string>> mappings_;
+  std::map<std::string, net::Payload> mappings_;
 };
 
 /// The client endpoint: collects replies so the main flow can wait on them.
@@ -161,8 +162,9 @@ int main() {
     const net::Message response = client.call(lookup, bytes_out);
     std::printf("client -> lookup   %-38s : %s, %zu target(s)\n", source,
                 net::to_string(response.status), response.payload.size());
-    for (const std::string& target : response.payload) {
-      std::printf("                     %s\n", target.c_str());
+    for (const std::string_view target : response.payload) {
+      std::printf("                     %.*s\n", static_cast<int>(target.size()),
+                  target.data());
     }
   }
 

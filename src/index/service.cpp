@@ -5,6 +5,7 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -77,16 +78,21 @@ void IndexService::wire_lookup(const query::Query& q, const Id& node,
     // Serve from the contacted node's live state at delivery time.
     net::Message response = net::Message::response_to(m);
     if (const IndexNodeState* state = find_state(m.to); state != nullptr) {
-      if (const IndexNodeState::SourceEntry* entry = state->entry_of(q); entry != nullptr) {
+      const IndexNodeState::SourceEntry* entry = state->entry_of(q);
+      std::vector<const query::Query*> shortcuts;
+      if (cache != nullptr) shortcuts = cache->visible(state->cache(), m.to, q);
+      // Size the reply exactly: the entry keeps its targets' byte total, so
+      // the whole payload costs one allocation.
+      std::size_t bytes = entry != nullptr ? entry->targets.byte_size() : 0;
+      for (const query::Query* t : shortcuts) bytes += t->byte_size();
+      response.payload.reserve((entry != nullptr ? entry->targets.size() : 0) + shortcuts.size(),
+                               bytes);
+      if (entry != nullptr) {
         for (const IndexNodeState::TargetRef& ref : entry->targets) {
           response.payload.push_back(ref.target->canonical());
         }
       }
-      if (cache != nullptr) {
-        for (const query::Query* t : cache->visible(state->cache(), m.to, q)) {
-          response.payload.push_back(t->canonical());
-        }
-      }
+      for (const query::Query* t : shortcuts) response.payload.push_back(t->canonical());
     }
     if (response.payload.empty()) response.status = net::Status::kNotFound;
     return response;

@@ -7,8 +7,13 @@
 
 namespace dhtidx::net {
 
+std::uint64_t MessageBus::assign_id() {
+  flags_.push_back(0);
+  return next_request_id_++;
+}
+
 Message MessageBus::exchange(Message request, const Server& serve) {
-  const std::uint64_t id = next_request_id_++;
+  const std::uint64_t id = assign_id();
   request.request_id = id;
   servers_[id] = &serve;
   ++exchanges_;
@@ -47,7 +52,7 @@ Message MessageBus::exchange(Message request, const Server& serve) {
 }
 
 void MessageBus::post(Message message, Applier apply) {
-  const std::uint64_t id = next_request_id_++;
+  const std::uint64_t id = assign_id();
   message.request_id = id;
   // The pending entry must exist before send() — the in-process transport
   // applies synchronously from inside the call and erases it. The frame copy
@@ -107,7 +112,9 @@ void MessageBus::on_message(const Message& message, std::uint64_t wire_bytes) {
   const std::uint64_t id = message.request_id;
   if (message.context == Context::kRequest) {
     if (const auto server = servers_.find(id); server != servers_.end()) {
-      if (answered_.insert(id).second) {
+      // Live servers and pending posts exist only for assigned ids.
+      if ((flags(id) & kAnswered) == 0) {
+        flags(id) |= kAnswered;
         Message response = (*server->second)(message);
         account(response, transport_.send(response));
         // Record after the send (send takes a const ref, so the move is
@@ -133,13 +140,13 @@ void MessageBus::on_message(const Message& message, std::uint64_t wire_bytes) {
       // apply() is already classified as a duplicate.
       Applier apply = std::move(post->second.apply);
       pending_posts_.erase(post);
-      applied_.insert(id);
+      flags(id) |= kApplied;
       apply(message);
       Message ack = Message::ack_to(message);
       account(ack, transport_.send(ack));
       return;
     }
-    if (applied_.contains(id) || answered_.contains(id)) {
+    if (assigned(id) && (flags(id) & (kApplied | kAnswered)) != 0) {
       discard_duplicate(wire_bytes);
       return;
     }
@@ -158,9 +165,11 @@ void MessageBus::on_message(const Message& message, std::uint64_t wire_bytes) {
   }
   // Ack leg: confirms delivery of a one-way post; accounting happened at
   // send time. Only the dedup bookkeeping remains.
-  if (!acked_.insert(id).second) {
+  if (!assigned(id) || (flags(id) & kAcked) != 0) {
     discard_duplicate(wire_bytes);
+    return;
   }
+  flags(id) |= kAcked;
 }
 
 void MessageBus::on_rejected(std::uint64_t wire_bytes) {

@@ -15,10 +15,10 @@
 //
 // Idempotent delivery (wire version 2, PROTOCOL.md §3): request ids are
 // assigned monotonically from one bus-wide counter, and the bus remembers
-// which ids it has already served or applied. A duplicated, replayed or
-// retransmission-crossed frame is detected by its id and discarded — the
-// non-idempotent appliers (publish/remove/replicate/shortcut-install) run
-// exactly once per id. When the transport drains without the expected
+// which ids it has already served or applied (one flag byte per assigned id).
+// A duplicated, replayed or retransmission-crossed frame is detected by its
+// id and discarded — the non-idempotent appliers
+// (publish/remove/replicate/shortcut-install) run exactly once per id. When the transport drains without the expected
 // response/ack (an adversarial drop), exchange() and sync() retransmit the
 // original frame under a bounded end-to-end timeout budget whose backoff
 // composes with RetryPolicy and is charged to the transport's virtual clock.
@@ -36,7 +36,7 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "common/error.hpp"
 #include "net/message.hpp"
@@ -124,6 +124,16 @@ class MessageBus : public MessageSink {
   /// Counts one discarded duplicate delivery into the ledger.
   void discard_duplicate(std::uint64_t wire_bytes);
 
+  /// Assigns the next request id and its (cleared) dedup flags.
+  std::uint64_t assign_id();
+
+  /// True when `id` came from assign_id(). An id this bus never assigned has
+  /// no server or applier, and a response or ack carrying it is discarded
+  /// as a duplicate.
+  bool assigned(std::uint64_t id) const { return id - 1 < flags_.size(); }
+  /// The dedup flags of an assigned id.
+  std::uint8_t& flags(std::uint64_t id) { return flags_[id - 1]; }
+
   /// Charges the backoff before retransmission `round` (1-based) to the
   /// transport's virtual clock. Exponential per RetryPolicy, capped so a
   /// deep budget cannot blow up virtual time.
@@ -151,12 +161,14 @@ class MessageBus : public MessageSink {
   // lost response leg heals without running `serve` twice.
   std::unordered_map<std::uint64_t, Message> served_responses_;
 
-  // Dedup memory (wire v2): ids whose request leg was served, whose one-way
-  // apply ran, and whose ack was consumed. Grows with the number of RPCs in
-  // one simulation run; entries are u64s, which is cheap at paper scale.
-  std::unordered_set<std::uint64_t> answered_;
-  std::unordered_set<std::uint64_t> applied_;
-  std::unordered_set<std::uint64_t> acked_;
+  // Dedup memory (wire v2): one byte per assigned id, at flags_[id - 1] (ids
+  // start at 1 and only come from assign_id()), recording whether its request
+  // leg was served, its one-way apply ran, and its ack was consumed. Grows
+  // by one byte per RPC in a simulation run.
+  static constexpr std::uint8_t kAnswered = 1;
+  static constexpr std::uint8_t kApplied = 2;
+  static constexpr std::uint8_t kAcked = 4;
+  std::vector<std::uint8_t> flags_;
 };
 
 }  // namespace dhtidx::net

@@ -13,12 +13,6 @@ void put_u16(std::string& out, std::uint16_t v) {
   put_u8(out, static_cast<std::uint8_t>(v >> 8));
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    put_u8(out, static_cast<std::uint8_t>((v >> shift) & 0xFF));
-  }
-}
-
 void put_u64(std::string& out, std::uint64_t v) {
   for (int shift = 0; shift < 64; shift += 8) {
     put_u8(out, static_cast<std::uint8_t>((v >> shift) & 0xFF));
@@ -42,11 +36,11 @@ class Reader {
   }
 
   std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int shift = 0; shift < 32; shift += 8) {
-      v |= static_cast<std::uint32_t>(u8()) << shift;
-    }
-    return v;
+    need(4, "header");
+    const auto* b = reinterpret_cast<const unsigned char*>(buffer_.data() + pos_);
+    pos_ += 4;
+    return static_cast<std::uint32_t>(b[0]) | static_cast<std::uint32_t>(b[1]) << 8 |
+           static_cast<std::uint32_t>(b[2]) << 16 | static_cast<std::uint32_t>(b[3]) << 24;
   }
 
   std::uint64_t u64() {
@@ -65,13 +59,12 @@ class Reader {
     return Id{bytes};
   }
 
-  std::string bytes(std::size_t n, const char* what) {
+  void skip(std::size_t n, const char* what) {
     need(n, what);
-    std::string out(buffer_.substr(pos_, n));
     pos_ += n;
-    return out;
   }
 
+  std::size_t position() const { return pos_; }
   std::size_t remaining() const { return buffer_.size() - pos_; }
 
  private:
@@ -91,11 +84,8 @@ void check_payload_caps(const Message& m) {
     throw CodecError{CodecError::Kind::kOversized,
                      "payload item count exceeds frame cap"};
   }
-  for (const std::string& item : m.payload) {
-    if (item.size() > kMaxItemBytes) {
-      throw CodecError{CodecError::Kind::kOversized,
-                       "payload item exceeds frame cap"};
-    }
+  if (m.payload.largest_item() > kMaxItemBytes) {
+    throw CodecError{CodecError::Kind::kOversized, "payload item exceeds frame cap"};
   }
 }
 
@@ -143,18 +133,11 @@ void encode_append(const Message& m, std::string& out) {
   out.append(reinterpret_cast<const char*>(m.from.bytes().data()), Id::kBytes);
   out.append(reinterpret_cast<const char*>(m.to.bytes().data()), Id::kBytes);
   put_u16(out, static_cast<std::uint16_t>(m.payload.size()));
-  for (const std::string& item : m.payload) {
-    put_u32(out, static_cast<std::uint32_t>(item.size()));
-    out.append(item);
-  }
+  out.append(m.payload.wire());
 }
 
 std::uint64_t encoded_size(const Message& m) {
-  std::uint64_t size = kHeaderBytes;
-  for (const std::string& item : m.payload) {
-    size += kItemOverheadBytes + item.size();
-  }
-  return size;
+  return kHeaderBytes + m.payload.wire().size();
 }
 
 Message decode(std::string_view buffer) {
@@ -192,21 +175,26 @@ Message decode(std::string_view buffer) {
   m.from = reader.id();
   m.to = reader.id();
 
+  // Validate every item's framing, then adopt the whole item section: the
+  // in-memory payload is that section, byte for byte.
   const std::uint16_t count = reader.u16();
-  m.payload.reserve(count);
+  const std::size_t items_begin = reader.position();
+  std::size_t largest = 0;
   for (std::uint16_t i = 0; i < count; ++i) {
     const std::uint32_t length = reader.u32();
     if (length > kMaxItemBytes) {
       throw CodecError{CodecError::Kind::kOversized,
                        "payload item length exceeds frame cap"};
     }
-    m.payload.push_back(reader.bytes(length, "payload item"));
+    reader.skip(length, "payload item");
+    if (length > largest) largest = length;
   }
   if (reader.remaining() != 0) {
     throw CodecError{CodecError::Kind::kTrailingBytes,
                      std::to_string(reader.remaining()) +
                          " trailing bytes after frame"};
   }
+  m.payload = Payload(buffer.substr(items_begin), count, largest);
   return m;
 }
 

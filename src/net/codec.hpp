@@ -15,6 +15,11 @@
 //       54     2  payload item count
 //       56   ...  items: u32 length + raw bytes, repeated
 //
+// The item section is also the in-memory form of Message::payload
+// (net::Payload): encode appends it verbatim and decode validates it, then
+// adopts it with one copy. The layout above is unchanged by that; only
+// Payload::push_back writes item framing.
+//
 // Guarantees:
 //   * encode(m) then decode() yields a Message equal to m (round trip).
 //   * decode() of any byte string either returns a valid Message or throws a
@@ -47,9 +52,6 @@ inline constexpr std::uint8_t kMagic1 = 0xDC;
 
 /// Fixed header size in bytes (everything before the payload items).
 inline constexpr std::size_t kHeaderBytes = 56;
-
-/// Per-item framing overhead (the u32 length prefix).
-inline constexpr std::size_t kItemOverheadBytes = 4;
 
 /// Sanity caps: a frame advertising more is rejected as corrupt rather than
 /// triggering a huge allocation.
@@ -96,7 +98,7 @@ void encode_append(const Message& m, std::string& out);
 /// allocation-free.
 void encode_into(const Message& m, std::string& out);
 
-/// Exact wire size of encode(m), computed without serializing.
+/// Exact wire size of encode(m), computed in O(1) without serializing.
 std::uint64_t encoded_size(const Message& m);
 
 /// Parses one frame occupying the whole buffer. Throws CodecError on any

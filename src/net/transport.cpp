@@ -22,9 +22,9 @@ std::uint64_t EventQueueTransport::send(const Message& message) {
     // fate-share unrelated messages), so batching is off while an adversary
     // is attached: every frame travels alone, exactly as before PR 10.
     flush_staged();
-    std::string frame = acquire_buffer();
-    codec::encode_into(message, frame);
-    const std::uint64_t wire_bytes = frame.size();
+    FrameBuffer buffer = acquire_buffer();
+    codec::encode_into(message, buffer.bytes);
+    const std::uint64_t wire_bytes = buffer.bytes.size();
     double deliver_at_ms = base_deliver_at_ms;
     bool duplicate = false;
     const FramePlan plan = chaos_->plan_frame(message.from, message.to);
@@ -32,10 +32,10 @@ std::uint64_t EventQueueTransport::send(const Message& message) {
       case FrameFault::kDrop:
         // The frame vanishes on the wire. The sender still paid for it, so
         // the wire size is returned as usual.
-        release_buffer(std::move(frame));
+        release_buffer(std::move(buffer));
         return wire_bytes;
       case FrameFault::kCorrupt:
-        chaos_->corrupt(frame);
+        chaos_->corrupt(buffer.bytes);
         break;
       case FrameFault::kDuplicate:
         duplicate = true;
@@ -48,9 +48,9 @@ std::uint64_t EventQueueTransport::send(const Message& message) {
         break;
     }
     if (duplicate) {
-      queue_.push(PendingFrame{deliver_at_ms, next_sequence_++, frame, {}});
+      queue_.push(PendingFrame{deliver_at_ms, next_sequence_++, buffer});
     }
-    queue_.push(PendingFrame{deliver_at_ms, next_sequence_++, std::move(frame), {}});
+    queue_.push(PendingFrame{deliver_at_ms, next_sequence_++, std::move(buffer)});
     return wire_bytes;
   }
 
@@ -61,7 +61,7 @@ std::uint64_t EventQueueTransport::send(const Message& message) {
   // trace and per-frame wire sizes are identical to unbatched sends.
   if (staged_active_ &&
       (!(staged_to_ == message.to) || staged_.deliver_at_ms != base_deliver_at_ms ||
-       staged_.bounds.size() >= kMaxCoalescedFrames)) {
+       staged_.buffer.bounds.size() >= kMaxCoalescedFrames)) {
     flush_staged();
   }
   if (!staged_active_) {
@@ -69,33 +69,32 @@ std::uint64_t EventQueueTransport::send(const Message& message) {
     staged_to_ = message.to;
     staged_.deliver_at_ms = base_deliver_at_ms;
     staged_.sequence = next_sequence_;
-    staged_.frame = acquire_buffer();
-    staged_.bounds.clear();
+    staged_.buffer = acquire_buffer();
   }
-  const std::size_t before = staged_.frame.size();
-  codec::encode_append(message, staged_.frame);
-  staged_.bounds.push_back(staged_.frame.size());
+  std::string& bytes = staged_.buffer.bytes;
+  const std::size_t before = bytes.size();
+  codec::encode_append(message, bytes);
+  staged_.buffer.bounds.push_back(bytes.size());
   ++next_sequence_;
-  return staged_.frame.size() - before;
+  return bytes.size() - before;
 }
 
 void EventQueueTransport::flush_staged() {
   if (!staged_active_) return;
   queue_.push(std::move(staged_));
   staged_active_ = false;
-  staged_.frame = std::string{};
-  staged_.bounds = std::vector<std::size_t>{};
 }
 
-std::string EventQueueTransport::acquire_buffer() {
+EventQueueTransport::FrameBuffer EventQueueTransport::acquire_buffer() {
   if (pool_.empty()) return {};
-  std::string buffer = std::move(pool_.back());
+  FrameBuffer buffer = std::move(pool_.back());
   pool_.pop_back();
-  buffer.clear();
+  buffer.bytes.clear();
+  buffer.bounds.clear();
   return buffer;
 }
 
-void EventQueueTransport::release_buffer(std::string&& buffer) {
+void EventQueueTransport::release_buffer(FrameBuffer&& buffer) {
   if (pool_.size() < kBufferPoolCap) {
     pool_.push_back(std::move(buffer));
   }
@@ -116,12 +115,13 @@ void EventQueueTransport::pump() {
     if (next.deliver_at_ms > clock_ms_) {
       clock_ms_ = next.deliver_at_ms;
     }
-    const std::string_view buffer{next.frame};
-    const std::size_t count = next.bounds.empty() ? 1 : next.bounds.size();
+    const std::string_view bytes{next.buffer.bytes};
+    const std::vector<std::size_t>& bounds = next.buffer.bounds;
+    const std::size_t count = bounds.empty() ? 1 : bounds.size();
     std::size_t start = 0;
     for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t end = next.bounds.empty() ? buffer.size() : next.bounds[i];
-      const std::string_view sub = buffer.substr(start, end - start);
+      const std::size_t end = bounds.empty() ? bytes.size() : bounds[i];
+      const std::string_view sub = bytes.substr(start, end - start);
       const std::uint64_t sequence = next.sequence + i;
       start = end;
       Message message;
@@ -143,7 +143,7 @@ void EventQueueTransport::pump() {
         sink_->on_message(message, sub.size());
       }
     }
-    release_buffer(std::move(next.frame));
+    release_buffer(std::move(next.buffer));
   }
 }
 

@@ -19,13 +19,14 @@
 //
 //     Two allocation optimizations keep the encode/deliver path out of the
 //     allocator without touching observable behaviour: retired frame buffers
-//     are pooled and reused by later send()s (steady-state encoding is
-//     allocation-free once buffers have grown to the working-set frame
-//     size), and consecutive sends to the same destination at the same
-//     delivery instant are coalesced into one pooled buffer ("one datagram
-//     per destination per tick"), delivered as individual sub-frames with
-//     their original sequence numbers — the delivery order, trace, wire
-//     sizes and codec round trip are exactly those of unbatched sends.
+//     are pooled, together with their sub-frame bounds, and reused by later
+//     send()s (a steady-state send allocates nothing once buffers have grown
+//     to the working-set frame size), and consecutive sends to the same
+//     destination at the same delivery instant are coalesced into one pooled
+//     buffer ("one datagram per destination per tick"), delivered as
+//     individual sub-frames with their original sequence numbers — the
+//     delivery order, trace, wire sizes and codec round trip are exactly
+//     those of unbatched sends.
 //     Coalescing turns off while a chaos adversary is attached: faults
 //     target whole frames, so each must stay individually droppable.
 //
@@ -146,15 +147,20 @@ class EventQueueTransport : public Transport {
   const std::vector<std::uint64_t>& delivery_trace() const { return trace_; }
 
  private:
+  /// A frame buffer and its sub-frame bounds; pooled as one unit.
+  struct FrameBuffer {
+    /// One encoded frame, or several back-to-back when coalesced.
+    std::string bytes;
+    /// End offset of each sub-frame within `bytes`. Empty means the buffer
+    /// is one whole frame (the chaos path never coalesces).
+    std::vector<std::size_t> bounds;
+  };
+
   struct PendingFrame {
     double deliver_at_ms;
     /// Sequence of the first sub-frame; sub-frame i is sequence + i.
     std::uint64_t sequence;
-    /// One encoded frame, or several back-to-back when coalesced.
-    std::string frame;
-    /// End offset of each sub-frame within `frame`. Empty means the buffer
-    /// is one whole frame (the chaos path never coalesces).
-    std::vector<std::size_t> bounds;
+    FrameBuffer buffer;
 
     // Min-heap on (deliver_at, sequence): std::priority_queue keeps the
     // *largest* element on top, so "greater" here means "delivered later".
@@ -179,8 +185,9 @@ class EventQueueTransport : public Transport {
   /// operation that must observe the full queue: pump, chaos sends, and
   /// sends that cannot join the batch.
   void flush_staged();
-  std::string acquire_buffer();
-  void release_buffer(std::string&& buffer);
+  /// A cleared buffer from the pool (or a fresh one when it is empty).
+  FrameBuffer acquire_buffer();
+  void release_buffer(FrameBuffer&& buffer);
 
   double hop_delay_ms_;
   double clock_ms_ = 0.0;
@@ -195,7 +202,7 @@ class EventQueueTransport : public Transport {
   bool staged_active_ = false;
   Id staged_to_;
   PendingFrame staged_;
-  std::vector<std::string> pool_;
+  std::vector<FrameBuffer> pool_;
 };
 
 }  // namespace dhtidx::net

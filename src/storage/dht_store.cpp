@@ -38,8 +38,8 @@ bool DhtStore::try_deliver(const Id& target, std::uint64_t request_bytes,
 net::Message DhtStore::wire_message(net::Action action, const Id& node,
                                     const Id& key, const Record* record) const {
   net::Message message = net::Message::request(action, Id{}, node);
-  message.payload.emplace_back(reinterpret_cast<const char*>(key.bytes().data()),
-                               Id::kBytes);
+  message.payload.push_back(
+      std::string_view{reinterpret_cast<const char*>(key.bytes().data()), Id::kBytes});
   if (record != nullptr) {
     message.payload.push_back(record->kind);
     message.payload.push_back(record->payload);

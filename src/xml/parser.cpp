@@ -1,6 +1,7 @@
 #include "xml/parser.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <string>
 
 #include "common/error.hpp"
@@ -122,11 +123,17 @@ class Parser {
   }
 
   Element parse_element() {
+    if (++depth_ > kMaxDepth) {
+      fail("elements nested deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
     expect("<");
     Element element{parse_name()};
     for (;;) {
       skip_whitespace();
-      if (consume("/>")) return element;
+      if (consume("/>")) {
+        --depth_;
+        return element;
+      }
       if (consume(">")) break;
       const std::string key = parse_name();
       skip_whitespace();
@@ -135,6 +142,7 @@ class Parser {
       element.set_attribute(key, parse_attribute_value());
     }
     parse_content(element);
+    --depth_;
     return element;
   }
 
@@ -176,6 +184,7 @@ class Parser {
 
   std::string_view input_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< elements open on the recursion stack
 };
 
 }  // namespace
@@ -202,12 +211,14 @@ std::string decode_entities(std::string_view text) {
     } else if (entity == "quot") {
       out.push_back('"');
     } else if (!entity.empty() && entity[0] == '#') {
+      // Digits only, as XML requires: no sign, no whitespace, no suffix.
+      const bool hex = entity.size() > 1 && (entity[1] == 'x' || entity[1] == 'X');
+      const std::string_view digits = entity.substr(hex ? 2 : 1);
       unsigned long code = 0;
-      try {
-        code = entity[1] == 'x' || entity[1] == 'X'
-                   ? std::stoul(std::string{entity.substr(2)}, nullptr, 16)
-                   : std::stoul(std::string{entity.substr(1)}, nullptr, 10);
-      } catch (const std::exception&) {
+      const auto [end_of_digits, error] =
+          std::from_chars(digits.data(), digits.data() + digits.size(), code, hex ? 16 : 10);
+      if (digits.empty() || error != std::errc{} ||
+          end_of_digits != digits.data() + digits.size()) {
         throw ParseError("malformed character reference &" + std::string{entity} + ";");
       }
       if (code == 0 || code > 0x10FFFF) {

@@ -7,14 +7,21 @@
 // declaration, and namespaces (colons are treated as ordinary name chars).
 #pragma once
 
+#include <cstddef>
 #include <string_view>
 
 #include "xml/node.hpp"
 
 namespace dhtidx::xml {
 
+/// Deepest element nesting parse() accepts. The parser recurses once per
+/// level, so a bound keeps hostile input from overflowing the stack;
+/// descriptors and snapshots nest a handful of levels.
+inline constexpr std::size_t kMaxDepth = 512;
+
 /// Parses a complete document and returns its root element.
-/// Throws dhtidx::ParseError with a line/column diagnostic on malformed input.
+/// Throws dhtidx::ParseError with a line/column diagnostic on malformed input,
+/// including elements nested deeper than kMaxDepth.
 Element parse(std::string_view document);
 
 /// Decodes the five predefined XML entities (and numeric character

@@ -317,6 +317,96 @@ TEST(MessageBusChaos, RetransmissionBudgetExhaustionThrows) {
   EXPECT_EQ(bus.timeouts(), 3u);
 }
 
+// --- dedup flags: duplicated, replayed and never-assigned ids ----------------
+
+TEST(MessageBusDedup, ServedRequestIsNotServedAgainOnDuplicateOrReplay) {
+  net::EventQueueTransport transport;
+  ChaosInjector chaos{3};
+  transport.set_chaos(&chaos);
+  net::MessageBus bus{transport};
+
+  chaos.script_frame_fault(FrameFault::kDuplicate, 1);  // the request frame
+  int served = 0;
+  Message seen;
+  bus.exchange(net::Message::request(net::Action::kLookup, Id{}, Id::hash("node")),
+               [&](const Message& req) {
+                 ++served;
+                 seen = req;
+                 return net::Message::response_to(req);
+               });
+  bus.sync();
+  EXPECT_EQ(served, 1);
+  // The duplicate request is discarded and answered with the recorded
+  // response, whose copy then arrives after the exchange ended.
+  EXPECT_EQ(bus.duplicates_detected(), 2u);
+
+  // Replayed after the exchange: discarded, never served.
+  bus.on_message(seen, net::codec::encoded_size(seen));
+  EXPECT_EQ(served, 1);
+  EXPECT_EQ(bus.duplicates_detected(), 3u);
+}
+
+TEST(MessageBusDedup, AppliedPostIsNotAppliedAgainOnDuplicateOrReplay) {
+  net::EventQueueTransport transport;
+  ChaosInjector chaos{4};
+  transport.set_chaos(&chaos);
+  net::MessageBus bus{transport};
+
+  chaos.script_frame_fault(FrameFault::kDuplicate, 1);  // the post frame
+  int applied = 0;
+  Message seen;
+  bus.post(sample_post(0), [&](const Message& m) {
+    ++applied;
+    seen = m;
+  });
+  bus.sync();
+  EXPECT_EQ(applied, 1);
+  EXPECT_EQ(bus.duplicates_detected(), 1u);
+
+  bus.on_message(seen, net::codec::encoded_size(seen));
+  EXPECT_EQ(applied, 1);
+  EXPECT_EQ(bus.duplicates_detected(), 2u);
+}
+
+TEST(MessageBusDedup, AckIsConsumedOnceOnDuplicateOrReplay) {
+  net::EventQueueTransport transport;
+  ChaosInjector chaos{5};
+  transport.set_chaos(&chaos);
+  net::MessageBus bus{transport};
+
+  chaos.script_frame_fault(FrameFault::kNone);       // the post frame
+  chaos.script_frame_fault(FrameFault::kDuplicate);  // its ack
+  Message seen;
+  bus.post(sample_post(0), [&](const Message& m) { seen = m; });
+  bus.sync();
+  EXPECT_EQ(chaos.duplicated_frames(), 1u);
+  EXPECT_EQ(bus.duplicates_detected(), 1u);
+
+  const Message ack = Message::ack_to(seen);
+  bus.on_message(ack, net::codec::encoded_size(ack));
+  EXPECT_EQ(bus.duplicates_detected(), 2u);
+  EXPECT_EQ(bus.measured().duplicates.messages(), 2u);
+}
+
+TEST(MessageBusDedup, NeverAssignedIdsHaveNoServerAndTheirRepliesAreDuplicates) {
+  net::InProcessTransport transport;
+  net::MessageBus bus{transport};
+  bus.post(sample_post(0), [](const Message&) {});  // assigns id 1
+  std::uint64_t duplicates = bus.duplicates_detected();
+  for (const std::uint64_t id :
+       {std::uint64_t{0}, std::uint64_t{2}, std::uint64_t{1000}, ~std::uint64_t{0}}) {
+    Message stray = sample_post(1);
+    stray.request_id = id;
+    EXPECT_THROW(bus.on_message(stray, 0), Error) << "request #" << id;
+    stray.context = net::Context::kResponse;
+    bus.on_message(stray, 0);
+    stray.context = net::Context::kAck;
+    bus.on_message(stray, 0);
+    duplicates += 2;
+    EXPECT_EQ(bus.duplicates_detected(), duplicates) << "id " << id;
+  }
+}
+
 // --- deterministic replay ----------------------------------------------------
 
 TEST(MessageBusChaos, DeliveryTraceReplaysBitIdenticallyForAFixedSeed) {

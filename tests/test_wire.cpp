@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -243,6 +244,159 @@ TEST(Codec, MutatedValidFramesAreRejectedOrReencodable) {
   }
 }
 
+// --- Payload: the item list held in its wire form ----------------------------
+
+/// `count` random items, 0 to 40 bytes each, drawn over the full byte range so
+/// empty items, NUL and 0xFF bytes all occur.
+std::vector<std::string> random_items(std::mt19937& rng, std::size_t count) {
+  std::uniform_int_distribution<std::size_t> length{0, 40};
+  std::uniform_int_distribution<int> byte{0, 255};
+  std::vector<std::string> items(count);
+  for (std::string& item : items) {
+    item.resize(length(rng));
+    for (char& c : item) c = static_cast<char>(byte(rng));
+  }
+  return items;
+}
+
+void expect_matches_model(const Payload& payload, const std::vector<std::string>& model) {
+  ASSERT_EQ(payload.size(), model.size());
+  EXPECT_EQ(payload.empty(), model.empty());
+  std::size_t i = 0;
+  for (const std::string_view item : payload) {
+    ASSERT_LT(i, model.size());
+    ASSERT_EQ(item, model[i]) << "item " << i;
+    ++i;
+  }
+  EXPECT_EQ(i, model.size());
+}
+
+TEST(Payload, AgreesWithAVectorOfStringsModel) {
+  std::mt19937 rng{20261018};
+  std::vector<std::size_t> counts = {0, 1, 2, 55, 626, codec::kMaxPayloadItems};
+  std::uniform_int_distribution<std::size_t> small{0, 80};
+  for (int i = 0; i < 200; ++i) counts.push_back(small(rng));
+
+  for (const std::size_t count : counts) {
+    SCOPED_TRACE("items: " + std::to_string(count));
+    const std::vector<std::string> model = random_items(rng, count);
+    Payload payload;
+    for (const std::string& item : model) payload.push_back(item);
+    expect_matches_model(payload, model);
+
+    // Indexing walks the prefixes, so sample it on the large lists.
+    const std::size_t stride = count > 1000 ? count / 64 : 1;
+    for (std::size_t at = 0; at < count; at += stride) {
+      ASSERT_EQ(payload[at], model[at]);
+      ASSERT_EQ(payload.at(at), model[at]);
+    }
+    if (count > 0) {
+      EXPECT_EQ(payload[count - 1], model.back());
+    }
+    EXPECT_THROW(payload.at(count), std::out_of_range);
+
+    // Equality is item-wise: an equal list compares equal, any change not.
+    Payload twin;
+    for (const std::string& item : model) twin.push_back(item);
+    EXPECT_EQ(twin, payload);
+    twin.push_back("");
+    EXPECT_NE(twin, payload);
+    if (count > 0) {
+      std::vector<std::string> changed = model;
+      changed.back().push_back('\xFF');
+      Payload other;
+      for (const std::string& item : changed) other.push_back(item);
+      EXPECT_NE(other, payload);
+    }
+
+    Message m = sample_message();
+    m.payload = payload;
+    const std::string frame = codec::encode(m);
+    EXPECT_EQ(codec::encoded_size(m), frame.size());
+    const Message back = codec::decode(frame);
+    EXPECT_EQ(back, m);
+    expect_matches_model(back.payload, model);
+  }
+}
+
+TEST(Payload, ListAssignAndClearBuildTheSameItems) {
+  const Payload listed{"a", "", std::string(2, '\0')};
+  Payload pushed;
+  pushed.push_back("a");
+  pushed.push_back("");
+  pushed.push_back(std::string(2, '\0'));
+  EXPECT_EQ(listed, pushed);
+  expect_matches_model(listed, {"a", "", std::string(2, '\0')});
+
+  // Framing keeps item boundaries: neither concatenation nor an empty item
+  // is lost.
+  EXPECT_NE((Payload{"ab", ""}), (Payload{"a", "b"}));
+  EXPECT_NE(Payload{""}, Payload{});
+
+  // An item appended from a view of the payload itself survives the buffer
+  // growing under it.
+  const std::string long_item(100, 'q');
+  Payload self{long_item};
+  for (int i = 0; i < 8; ++i) self.push_back(self[self.size() - 1]);
+  expect_matches_model(self, std::vector<std::string>(9, long_item));
+
+  Payload assigned = listed;
+  assigned.assign(3, "xyz");
+  expect_matches_model(assigned, {"xyz", "xyz", "xyz"});
+  assigned.clear();
+  EXPECT_TRUE(assigned.empty());
+  EXPECT_EQ(assigned, Payload{});
+  EXPECT_EQ(assigned.largest_item(), 0u);
+}
+
+TEST(Payload, ItemSizeBeyondTheLengthPrefixIsRejected) {
+  // An item must fit its u32 length prefix; a larger size is rejected, never
+  // truncated into a prefix that would misframe every later item.
+  EXPECT_EQ(Payload::length_prefix(0), 0u);
+  EXPECT_EQ(Payload::length_prefix(0xFFFFFFFFu), 0xFFFFFFFFu);
+  EXPECT_THROW(Payload::length_prefix(std::size_t{0xFFFFFFFFu} + 1), Error);
+
+  // Items the prefix can carry but the frame cap forbids fail at encode.
+  Message m = sample_message();
+  m.payload.push_back(std::string(codec::kMaxItemBytes + 1, 'x'));
+  EXPECT_EQ(m.payload.largest_item(), codec::kMaxItemBytes + 1);
+  try {
+    codec::encode(m);
+    FAIL() << "oversized item encoded";
+  } catch (const codec::CodecError& e) {
+    EXPECT_EQ(e.kind(), codec::CodecError::Kind::kOversized);
+  }
+}
+
+std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    hex.push_back(kDigits[static_cast<unsigned char>(c) >> 4]);
+    hex.push_back(kDigits[static_cast<unsigned char>(c) & 0xF]);
+  }
+  return hex;
+}
+
+TEST(Codec, GoldenFrameBytesAreUnchanged) {
+  // A v2 frame pinned byte for byte from the codec that kept payloads as a
+  // vector of strings. Any change here is a wire-format change and needs a
+  // kWireVersion bump (PROTOCOL.md).
+  Message m = Message::response_to(
+      Message::request(Action::kLookup, Id::hash("client"), Id::hash("node")));
+  m.request_id = 0x0102030405060708ull;
+  m.status = Status::kNotFound;
+  m.payload = {"/article[@year='2004']", "", std::string{'\0', '\xFF', '\x7F'}};
+  const std::string golden =
+      "d1dc020102010807060504030201f8e966d1e207d02c44511a58dccff2f5429e9a3bd2a04d71301a"
+      "8915217dd5faf81d12cffd6cd9580300160000002f61727469636c655b40796561723d2732303034"
+      "275d000000000300000000ff7f";
+  const std::string frame = codec::encode(m);
+  EXPECT_EQ(to_hex(frame), golden);
+  EXPECT_EQ(codec::encoded_size(m), golden.size() / 2);
+  EXPECT_EQ(codec::decode(frame), m);
+}
+
 // --- Transports -------------------------------------------------------------
 
 /// Test sink collecting delivered messages and their wire sizes.
@@ -354,7 +508,7 @@ TEST(MessageBus, ExchangeRoundTripsAndAccountsBothLegs) {
   EXPECT_EQ(response.context, Context::kResponse);
   EXPECT_EQ(response.action, Action::kLookup);
   EXPECT_NE(response.request_id, 0u);
-  EXPECT_EQ(response.payload, std::vector<std::string>{"result"});
+  EXPECT_EQ(response.payload, Payload{"result"});
   EXPECT_EQ(bus.exchanges(), 1u);
 
   const TrafficLedger& m = bus.measured();
