@@ -107,41 +107,46 @@ Id IndexService::insert(const query::Query& source, const query::Query& target,
   return insert_interned(interner_->intern(source), interner_->intern(target), now);
 }
 
+std::vector<Id> IndexService::placement(const Id& key) {
+  // Seed-identical fast path: one substrate lookup, one copy.
+  if (failures_ == nullptr && replication_ == 1) return {dht_.lookup(key).node};
+  // PAST-style placement: the first `replication_` live candidates. The
+  // publisher discovers dead replicas by timeout and skips past them.
+  std::vector<Id> replicas = candidate_replicas(key);
+  std::erase_if(replicas, [this](const Id& replica) {
+    return failures_ != nullptr && failures_->is_crashed(replica);
+  });
+  if (replicas.size() > replication_) replicas.resize(replication_);
+  return replicas;
+}
+
+void IndexService::place(IndexNodeState& state, const Id& node, std::size_t copy,
+                         const query::Query* source, const query::Query* target,
+                         std::uint64_t now) {
+  state.add_interned(source, target, now);
+  if (bus_ != nullptr) {
+    // The primary gets the publish; further copies are replication pushes.
+    wire_publish(copy == 0 ? net::Action::kPublish : net::Action::kReplicate, node, source,
+                 target);
+  }
+}
+
 Id IndexService::insert_interned(const query::Query* s, const query::Query* t,
                                  std::uint64_t now) {
   if (!s->covers(*t)) {
     throw InvariantError("index mapping rejected: '" + s->canonical() +
                          "' does not cover '" + t->canonical() + "'");
   }
-  if (failures_ == nullptr && replication_ == 1) {
-    // Seed-identical fast path: one substrate lookup, one copy.
-    const Id node = dht_.lookup(s->key()).node;
-    state_at(node).add_interned(s, t, now);
-    if (bus_ != nullptr) wire_publish(net::Action::kPublish, node, s, t);
-    return node;
-  }
-  // PAST-style placement: the first `replication_` live candidates. The
-  // publisher discovers dead replicas by timeout and skips past them; as a
-  // build-time operation this costs no ledger traffic.
-  Id placed_on;
-  std::size_t placed = 0;
-  for (const Id& replica : candidate_replicas(s->key())) {
-    if (placed >= replication_) break;
-    if (failures_ != nullptr && failures_->is_crashed(replica)) continue;
-    state_at(replica).add_interned(s, t, now);
-    if (bus_ != nullptr) {
-      // The primary gets the publish; further copies are replication pushes.
-      wire_publish(placed == 0 ? net::Action::kPublish : net::Action::kReplicate,
-                   replica, s, t);
-    }
-    if (placed == 0) placed_on = replica;
-    ++placed;
-  }
-  if (placed == 0) {
+  // As a build-time operation a placement costs no ledger traffic.
+  const std::vector<Id> replicas = placement(s->key());
+  if (replicas.empty()) {
     throw InvariantError("index insert: no live replica for key of '" +
                          s->canonical() + "'");
   }
-  return placed_on;
+  for (std::size_t copy = 0; copy < replicas.size(); ++copy) {
+    place(state_at(replicas[copy]), replicas[copy], copy, s, t, now);
+  }
+  return replicas.front();
 }
 
 std::size_t IndexService::expire(std::uint64_t cutoff) {

@@ -61,6 +61,21 @@ class IndexService {
   Id insert_interned(const query::Query* source, const query::Query* target,
                      std::uint64_t now = 0);
 
+  /// The nodes a mapping under `key` is placed on, primary first: the first
+  /// `replication` live candidates of the key's replica set. Makes exactly
+  /// the substrate calls insert_interned() makes and reads no partition, so
+  /// the epoch build's producers call it concurrently on a substrate whose
+  /// lookups are pure (the ring).
+  std::vector<Id> placement(const Id& key);
+
+  /// Writes copy `copy` of (source ; target), stamped `now`, into `state`,
+  /// the partition of `node`, and posts its frame when a bus is attached:
+  /// kPublish for the primary (copy 0), kReplicate for the others. The one
+  /// write path of insert_interned() and of the epoch build's apply
+  /// sub-phase; no covering check (callers guarantee source ⊒ target).
+  void place(IndexNodeState& state, const Id& node, std::size_t copy,
+             const query::Query* source, const query::Query* target, std::uint64_t now);
+
   /// Drops every mapping whose refresh stamp is older than `cutoff` on every
   /// node (soft-state expiry). Returns the number of mappings removed.
   std::size_t expire(std::uint64_t cutoff);

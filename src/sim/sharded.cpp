@@ -1,23 +1,18 @@
 #include "sim/sharded.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <functional>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/rss.hpp"
 #include "common/thread_annotations.hpp"
-#ifdef DHTIDX_AUDIT
-#include "audit/audit.hpp"
-#endif
-#include "dht/ring.hpp"
 #include "index/lookup.hpp"
 #include "index/scheme.hpp"
 #include "workload/streaming.hpp"
@@ -27,22 +22,17 @@ namespace dhtidx::sim {
 
 namespace {
 
-using index::CachePolicy;
 using query::Query;
-
-double wall_seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
 
 /// Articles per bulk-synchronous build epoch. Fixed (never derived from the
 /// shard count or machine), so the epoch boundaries — and therefore the
 /// interner's growth schedule — are identical for every S.
 constexpr std::size_t kBuildEpoch = 8192;
 
-/// Queries per bulk-synchronous feed epoch (caching policies only). The
-/// epoch length is observable semantics, not a tuning knob: a session can
-/// only hit shortcuts installed in *earlier* epochs (the lookup sub-phase
-/// reads a frozen snapshot), so changing this constant changes hit ratios.
+/// Queries per feed epoch of a streamed caching world. The epoch length is
+/// observable semantics, not a tuning knob: a session can only hit shortcuts
+/// installed in *earlier* epochs (the lookup sub-phase reads a frozen
+/// snapshot), so changing this constant changes hit ratios.
 /// Like kBuildEpoch it must never depend on S or the machine — that is what
 /// keeps the sweep JSON bit-identical across --shards. Smaller epochs track
 /// the paper's fully sequential warm-up more closely; 1024 keeps the
@@ -54,12 +44,13 @@ constexpr std::uint32_t kNoPending = query::InternRequests::kNoPending;
 
 /// One build-phase operation, totally ordered by (vt, seq): vt is the global
 /// article index (disjoint across producers), seq the emission order within
-/// the article. Draining a node's operations in this order reproduces the
-/// sequential build exactly.
+/// the article. Draining a node's operations in this order reproduces
+/// put()/insert_interned() per article exactly.
 struct Op {
   std::uint64_t vt = 0;
   std::uint32_t seq = 0;
   bool is_store = false;  ///< store a record replica vs publish a mapping
+  std::uint8_t copy = 0;  ///< publish ops: which copy (0 = the primary)
   Id node;                ///< the owning node this op applies to
   // Store ops: the record's DHT key and its index in the producer's epoch
   // record buffer.
@@ -75,7 +66,7 @@ struct Op {
 };
 
 /// Node id -> owning shard: position in the sorted member list modulo S.
-/// Membership is fixed for the whole run (streaming mode forbids churn).
+/// Membership is fixed for a run with S > 1 (only one-shard worlds churn).
 class ShardMap {
  public:
   ShardMap(std::vector<Id> members, std::size_t shards)
@@ -97,8 +88,10 @@ class ShardMap {
 
 /// Per-producer epoch state: the record buffer, the queue per owner shard,
 /// and the intern requests this producer will hand to the serial intern
-/// sub-phase.
+/// sub-phase. Same epoch-buffer shape as index::CacheDeltaLog (run_epoch).
 struct Producer {
+  explicit Producer(std::size_t shards) : queues(shards) {}
+
   /// Phase capability over the epoch buffers below. Exclusive during the
   /// produce sub-phase (the owning worker is the sole writer) and the serial
   /// intern sub-phase (the driver is alone); shared during the apply
@@ -111,18 +104,23 @@ struct Producer {
   /// One queue per owner shard, (vt,seq)-sorted by construction.
   std::vector<std::vector<Op>> queues DHTIDX_GUARDED_BY(phase_);
 
-  void reset(std::size_t shards) DHTIDX_REQUIRES(phase_) {
+  void reset() DHTIDX_REQUIRES(phase_) {
     records.clear();
     interns.phase_.assert_exclusive();  // same phase structure as the owner
     interns.reset();
-    queues.assign(shards, {});
+    for (std::vector<Op>& queue : queues) queue.clear();
+  }
+
+  const std::vector<Op>& queue(std::size_t shard) const DHTIDX_REQUIRES_SHARED(phase_) {
+    return queues[shard];
   }
 };
 
 /// Runs `body(0..count-1)` on `count` workers; inline when count == 1 (the
 /// single-shard path uses the exact same code, just without threads). The
 /// join is the phase barrier; the first worker exception is rethrown.
-void run_workers(std::size_t count, const std::function<void(std::size_t)>& body) {
+template <typename Body>
+void run_workers(std::size_t count, const Body& body) {
   if (count <= 1) {
     body(0);
     return;
@@ -173,6 +171,45 @@ void merge_by_virtual_time(const std::vector<const std::vector<T>*>& queues, Fn&
   }
 }
 
+/// One bulk-synchronous epoch over per-worker buffers (the build's
+/// Producers, the feed's CacheDeltaLogs), one buffer per shard:
+/// (fill) worker w records into buffers[w]; (intern) the driver interns every
+/// buffer's new queries — the only writes the shared pool ever sees;
+/// (apply) worker t merges the queues addressed to shard t by (vt, seq) and
+/// calls apply(t, buffer, item) on each item, read-only on the buffers.
+template <typename Buffer, typename Fill, typename Apply>
+void run_epoch(std::vector<Buffer>& buffers, query::QueryInterner& interner,
+               const Fill& fill, const Apply& apply) {
+  for (Buffer& buffer : buffers) {
+    buffer.phase_.assert_exclusive();  // between epochs: no workers running
+    buffer.reset();
+  }
+  run_workers(buffers.size(), [&](std::size_t w) {
+    buffers[w].phase_.assert_exclusive();  // worker w is buffer w's sole owner
+    buffers[w].interns.phase_.assert_exclusive();
+    fill(w, buffers[w]);
+  });
+  for (Buffer& buffer : buffers) {
+    buffer.phase_.assert_exclusive();  // serial sub-phase: driver is alone
+    buffer.interns.phase_.assert_exclusive();
+    buffer.interns.intern_all(interner);
+  }
+  run_workers(buffers.size(), [&](std::size_t t) {
+    std::vector<const std::remove_cvref_t<decltype(buffers[0].queue(0))>*> queues;
+    queues.reserve(buffers.size());
+    for (const Buffer& buffer : buffers) {
+      buffer.phase_.assert_shared();  // apply sub-phase: buffers frozen
+      queues.push_back(&buffer.queue(t));
+    }
+    merge_by_virtual_time(queues, [&](std::size_t p, const auto& item) {
+      const Buffer& buffer = buffers[p];
+      buffer.phase_.assert_shared();  // read-only rights, shared with peers
+      buffer.interns.phase_.assert_shared();
+      apply(t, buffer, item);
+    });
+  });
+}
+
 }  // namespace
 
 void FeedTotals::fold(const index::LookupOutcome& outcome) {
@@ -209,92 +246,13 @@ void FeedTotals::merge(const FeedTotals& other) {
   ledger.merge(other.ledger);
 }
 
-void collect_results(const SimulationConfig& config, const FeedTotals& feed,
-                     const net::TrafficLedger& ledger, const dht::Dht& dht,
-                     const index::IndexService& service,
-                     const storage::DhtStore& store, SimulationResults& r) {
-  r.scheme = config.scheme;
-  r.policy = config.policy;
-  r.cache_capacity = config.cache_capacity;
-  r.nodes = config.nodes;
-  r.queries = config.queries;
-  r.replication = config.replication;
-  r.transport = config.transport;
-  r.peak_rss_bytes = dhtidx::peak_rss_bytes();
-
-  r.rpc_failures = feed.rpc_failures;
-  r.failed_lookups = feed.failed_lookups;
-  r.non_indexed_queries = feed.non_indexed;
-  r.degraded_sessions = feed.degraded;
-  r.gave_up_sessions = feed.gave_up;
-  r.unreachable_sessions = feed.unreachable;
-  r.stale_shortcut_invalidations = feed.stale_shortcuts;
-
-  const double n_queries = static_cast<double>(config.queries);
-  r.avg_interactions = static_cast<double>(feed.interactions) / n_queries;
-  r.avg_generalization_steps = static_cast<double>(feed.generalizations) / n_queries;
-  r.normal_traffic_per_query = static_cast<double>(ledger.normal_bytes()) / n_queries;
-  r.cache_traffic_per_query = static_cast<double>(ledger.cache.bytes()) / n_queries;
-  r.hit_ratio = static_cast<double>(feed.hits) / n_queries;
-  r.first_node_hit_share =
-      feed.hits == 0 ? 0.0
-                     : static_cast<double>(feed.first_node_hits) /
-                           static_cast<double>(feed.hits);
-  r.ledger = ledger;
-
-  // Cache occupancy across *all* nodes, including ones that never stored a
-  // shortcut (the paper reports 4.4% completely empty caches).
-  std::uint64_t cached_total = 0;
-  std::size_t full = 0;
-  std::size_t empty = 0;
-  std::size_t max_cached = 0;
-  const std::vector<Id> nodes = dht.node_ids();
-  for (const Id& node : nodes) {
-    std::size_t size = 0;
-    if (const index::IndexNodeState* state = service.find_state(node); state != nullptr) {
-      size = state->cache().size();
-    }
-    cached_total += size;
-    max_cached = std::max(max_cached, size);
-    if (size == 0) ++empty;
-    if (config.cache_capacity != 0 && size >= config.cache_capacity) ++full;
-  }
-  const double n_nodes = static_cast<double>(nodes.size());
-  r.avg_cached_keys_per_node = static_cast<double>(cached_total) / n_nodes;
-  r.max_cached_keys = max_cached;
-  r.full_cache_fraction = static_cast<double>(full) / n_nodes;
-  r.empty_cache_fraction = static_cast<double>(empty) / n_nodes;
-
-  // Regular keys: index keys plus stored data keys, averaged over all nodes.
-  const index::IndexService::Totals totals = service.totals();
-  std::size_t stored_keys = 0;
-  for (const auto& [node, node_store] : store.node_stores()) {
-    stored_keys += node_store.key_count();
-  }
-  r.avg_regular_keys_per_node = static_cast<double>(totals.keys + stored_keys) / n_nodes;
-  r.index_keys = totals.keys;
-  r.index_mappings = totals.mappings;
-  r.index_bytes = totals.bytes;
-  r.data_bytes = store.total_bytes();
-
-  // Figure 15: per-node share of queries, busiest first.
-  r.node_load_fractions.reserve(nodes.size());
-  for (const Id& node : nodes) {
-    const auto it = feed.node_touches.find(node);
-    const double touches =
-        it == feed.node_touches.end() ? 0.0 : static_cast<double>(it->second);
-    r.node_load_fractions.push_back(touches / n_queries);
-  }
-  std::sort(r.node_load_fractions.begin(), r.node_load_fractions.end(), std::greater<>());
-}
-
-void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
-                           index::IndexService& service, storage::DhtStore& store,
-                           const biblio::ArticleStream& stream) {
+template <typename ArticleSource>
+void build_world(const SimulationConfig& config, dht::Dht& dht,
+                 index::IndexService& service, storage::DhtStore& store,
+                 const ArticleSource& source) {
   const std::size_t shards = std::max<std::size_t>(config.shards, 1);
   const index::IndexingScheme scheme = index::IndexingScheme::make(config.scheme);
   query::QueryInterner& interner = service.interner();
-  const std::size_t replication = service.replication();
 
   // Pre-create every node's index partition and record store. The outer
   // FlatMaps are structurally frozen before any worker runs: parallel phases
@@ -306,214 +264,159 @@ void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
     store.node_store(node);
   }
 
-  std::vector<Producer> producers(shards);
-  const std::size_t total = stream.size();
+  std::vector<Producer> producers;
+  producers.reserve(shards);
+  for (std::size_t p = 0; p < shards; ++p) producers.emplace_back(shards);
+  const std::size_t total = source.size();
 
   for (std::size_t epoch_start = 0; epoch_start < total; epoch_start += kBuildEpoch) {
     const std::size_t epoch_end = std::min(total, epoch_start + kBuildEpoch);
-    for (Producer& producer : producers) {
-      producer.phase_.assert_exclusive();  // between epochs: no workers running
-      producer.reset(shards);
-    }
+    run_epoch(
+        producers, interner,
+        // (produce) -- synthesize articles, compute placements, emit
+        // operations. Producer p owns articles i with i % S == p, walked in
+        // increasing i, so each queue is (vt, seq)-sorted by construction.
+        // The placements make the substrate calls put() and
+        // insert_interned() make, in their order.
+        [&](std::size_t p, Producer& producer) {
+          producer.phase_.assert_exclusive();  // worker p is producer p's sole owner
+          producer.interns.phase_.assert_exclusive();
+          for (std::size_t i = epoch_start; i < epoch_end; ++i) {
+            if (i % shards != p) continue;
+            const biblio::Article& article = source.article(i);
+            const xml::Element descriptor = article.descriptor();
+            const Query msd = Query::most_specific(descriptor);
+            std::uint32_t seq = 0;
 
-    // (produce) -- synthesize articles, compute placements, emit operations.
-    // Producer p owns articles i with i % S == p, walked in increasing i, so
-    // each queue is (vt, seq)-sorted by construction.
-    run_workers(shards, [&](std::size_t p) {
-      Producer& producer = producers[p];
-      producer.phase_.assert_exclusive();  // worker p is producer p's sole owner
-      producer.interns.phase_.assert_exclusive();
-      for (std::size_t i = epoch_start; i < epoch_end; ++i) {
-        if (i % shards != p) continue;
-        const biblio::Article article = stream.article(i);
-        const xml::Element descriptor = article.descriptor();
-        const Query msd = Query::most_specific(descriptor);
-        std::uint32_t seq = 0;
+            // The stored file record, one op per copy.
+            storage::Record record;
+            record.kind = "file:" + article.file_name();
+            record.payload = xml::write(descriptor, {.pretty = false});
+            record.virtual_payload_bytes = article.file_bytes;
+            const Id file_key = msd.key();
+            const auto record_slot = static_cast<std::uint32_t>(producer.records.size());
+            producer.records.push_back(std::move(record));
+            for (const Id& replica : store.placement(file_key).replicas) {
+              Op op;
+              op.vt = i;
+              op.seq = seq++;
+              op.is_store = true;
+              op.node = replica;
+              op.key = file_key;
+              op.record = record_slot;
+              producer.queues[shard_map.shard_of(op.node)].push_back(op);
+            }
 
-        // The stored file record, one op per replica placement (mirrors
-        // DhtStore::put under a healthy network: the replica set of the
-        // MSD's key, primary first).
-        storage::Record record;
-        record.kind = "file:" + article.file_name();
-        record.payload = xml::write(descriptor, {.pretty = false});
-        record.virtual_payload_bytes = article.file_bytes;
-        const Id file_key = msd.key();
-        const std::uint32_t record_slot = static_cast<std::uint32_t>(producer.records.size());
-        producer.records.push_back(std::move(record));
-        const std::vector<Id> file_replicas = dht.replica_set(file_key, replication);
-        for (std::size_t c = 0; c < file_replicas.size(); ++c) {
-          Op op;
-          op.vt = i;
-          op.seq = seq++;
-          op.is_store = true;
-          op.node = file_replicas[c];
-          op.key = file_key;
-          op.record = record_slot;
-          producer.queues[shard_map.shard_of(op.node)].push_back(op);
-        }
-
-        // The scheme's mappings, one op per replica placement of the source
-        // key (mirrors IndexService::insert_interned). The key comes from
-        // the source's interned ref or pending slot, so each distinct source
-        // is hashed once, not once per article that maps to it.
-        std::vector<index::Mapping> mappings = scheme.mappings_for(msd);
-        for (index::Mapping& m : mappings) {
-          Op op;
-          op.vt = i;
-          producer.interns.resolve(interner, std::move(m.source), op.source,
-                                   op.source_pending);
-          producer.interns.resolve(interner, std::move(m.target), op.target,
-                                   op.target_pending);
-          const Id source_key = op.source != nullptr
-                                    ? op.source->key()
-                                    : producer.interns.pending[op.source_pending].key();
-          for (const Id& replica : dht.replica_set(source_key, replication)) {
-            Op placed = op;
-            placed.seq = seq++;
-            placed.node = replica;
-            producer.queues[shard_map.shard_of(replica)].push_back(placed);
+            // The scheme's mappings, one op per copy. The key comes from the
+            // source's interned ref or pending slot, so each distinct source
+            // is hashed once, not once per article that maps to it.
+            for (index::Mapping& m : scheme.mappings_for(msd)) {
+              Op op;
+              op.vt = i;
+              producer.interns.resolve(interner, std::move(m.source), op.source,
+                                       op.source_pending);
+              producer.interns.resolve(interner, std::move(m.target), op.target,
+                                       op.target_pending);
+              const Id source_key = op.source != nullptr
+                                        ? op.source->key()
+                                        : producer.interns.pending[op.source_pending].key();
+              const std::vector<Id> replicas = service.placement(source_key);
+              for (std::size_t c = 0; c < replicas.size(); ++c) {
+                op.seq = seq++;
+                op.copy = static_cast<std::uint8_t>(c);
+                op.node = replicas[c];
+                producer.queues[shard_map.shard_of(op.node)].push_back(op);
+              }
+            }
           }
-        }
-      }
-    });
-
-    // (intern) -- the only writes the shared pool ever sees, serialized in
-    // the driver.
-    for (Producer& producer : producers) {
-      producer.phase_.assert_exclusive();  // serial sub-phase: driver is alone
-      producer.interns.phase_.assert_exclusive();
-      producer.interns.intern_all(interner);
-    }
-
-    // (apply) -- worker t drains the S queues addressed to its shard with an
-    // S-way merge by (vt, seq), applying each operation to the owned node.
-    run_workers(shards, [&](std::size_t t) {
-      std::vector<const std::vector<Op>*> queues;
-      queues.reserve(shards);
-      for (std::size_t p = 0; p < shards; ++p) {
-        producers[p].phase_.assert_shared();  // apply sub-phase: buffers frozen
-        queues.push_back(&producers[p].queues[t]);
-      }
-      merge_by_virtual_time<Op>(queues, [&](std::size_t p, const Op& op) {
-        // Appliers only ever *read* producer state: a record replicated
-        // across nodes owned by different shards is copied concurrently, so
-        // there must be no mutating fast path (a "move on last replica"
-        // would race with another shard's copy of the same record).
-        const Producer& producer = producers[p];
-        producer.phase_.assert_shared();  // read-only rights, shared with peers
-        producer.interns.phase_.assert_shared();
-        if (op.is_store) {
-          storage::NodeStore* node_store = store.find_node_store(op.node);
-          node_store->put(op.key, producer.records[op.record]);
-        } else {
-          const Query* source = producer.interns.ref_of(op.source, op.source_pending);
-          const Query* target = producer.interns.ref_of(op.target, op.target_pending);
-          // No covering check here: the scheme guarantees source ⊒ target by
-          // construction and the DHTIDX_AUDIT pass re-verifies it.
-          service.find_state(op.node)->add_interned(source, target, 0);
-        }
-      });
-    });
+        },
+        // (apply) -- write each copy to the node this shard owns. Appliers
+        // only ever *read* producer state: a record replicated across nodes
+        // owned by different shards is copied concurrently, so there must be
+        // no mutating fast path (a "move on last replica" would race with
+        // another shard's copy of the same record).
+        [&](std::size_t, const Producer& producer, const Op& op) {
+          producer.phase_.assert_shared();  // read-only rights, shared with peers
+          producer.interns.phase_.assert_shared();
+          if (op.is_store) {
+            store.place(*store.find_node_store(op.node), op.node, op.key,
+                        producer.records[op.record]);
+          } else {
+            // No covering check here: the scheme guarantees source ⊒ target
+            // by construction and the DHTIDX_AUDIT pass re-verifies it.
+            service.place(*service.find_state(op.node), op.node, op.copy,
+                          producer.interns.ref_of(op.source, op.source_pending),
+                          producer.interns.ref_of(op.target, op.target_pending), 0);
+          }
+        });
   }
 }
 
-FeedTotals feed_streaming_world(const SimulationConfig& config, dht::Dht& dht,
-                                index::IndexService& service,
-                                storage::DhtStore& store,
-                                const workload::StreamingWorkload& workload) {
+template void build_world(const SimulationConfig&, dht::Dht&, index::IndexService&,
+                          storage::DhtStore&, const biblio::Corpus&);
+template void build_world(const SimulationConfig&, dht::Dht&, index::IndexService&,
+                          storage::DhtStore&, const biblio::ArticleStream&);
+
+FeedTotals feed_world(const SimulationConfig& config, dht::Dht& dht,
+                      index::IndexService& service, storage::DhtStore& store,
+                      const FeedPlan& plan) {
   const std::size_t shards = std::max<std::size_t>(config.shards, 1);
+  // The epoch length is a property of the world (see sim/sharded.hpp).
+  const std::size_t epoch = !config.streaming ? 1
+                            : index::caching_enabled(config.policy) ? kFeedEpoch
+                                                                    : config.queries;
   std::vector<FeedTotals> accumulators(shards);
 
-  if (!caching_enabled(config.policy)) {
-    // Cacheless feed: sessions are read-only on all shared state, so one
-    // parallel pass over the whole feed suffices — no epochs, no barriers.
-    run_workers(shards, [&](std::size_t w) {
-      FeedTotals& acc = accumulators[w];
-      const net::ScopedLedgerOverride scope{&acc.ledger};
-      index::LookupEngine engine{service, store, {config.policy}};
-      for (std::size_t i = 0; i < config.queries; ++i) {
-        if (i % shards != w) continue;
-        const workload::StreamingRequest request = workload.request_at(i);
-        acc.fold(engine.resolve(request.query, request.target_msd));
-      }
-    });
-  } else {
-    // Caching feed: bulk-synchronous query epochs (DESIGN.md section 15).
-    // Sessions read the shortcut caches as a frozen snapshot and record
-    // their mutations into per-worker epoch logs; the apply sub-phase
-    // replays the deltas in (vt, seq) order, so every cache evolves in the
-    // exact order a sequential pass over the epochs would have produced —
-    // for every S, including S = 1.
-    const ShardMap shard_map{dht.node_ids(), shards};
-    query::QueryInterner& interner = service.interner();
-    std::vector<index::CacheDeltaLog> logs;
-    logs.reserve(shards);
-    for (std::size_t w = 0; w < shards; ++w) {
-      logs.emplace_back(interner, shards,
-                        [&shard_map](const Id& node) { return shard_map.shard_of(node); });
-    }
+  // Sessions read the shortcut caches as a frozen snapshot and record their
+  // mutations into per-worker epoch logs; the apply sub-phase replays the
+  // deltas in (vt, seq) order, so every cache evolves in the exact order a
+  // sequential pass over the epochs would have produced — for every S.
+  const ShardMap shard_map{dht.node_ids(), shards};
+  std::vector<index::CacheDeltaLog> logs;
+  std::vector<index::LookupEngine> engines;
+  logs.reserve(shards);
+  engines.reserve(shards);
+  for (std::size_t w = 0; w < shards; ++w) {
+    logs.emplace_back(service.interner(), shards,
+                      [&shard_map](const Id& node) { return shard_map.shard_of(node); });
+    engines.emplace_back(service, store, index::LookupConfig{config.policy});
+  }
 
-    for (std::size_t epoch_start = 0; epoch_start < config.queries;
-         epoch_start += kFeedEpoch) {
-      const std::size_t epoch_end =
-          std::min(config.queries, epoch_start + kFeedEpoch);
-      for (index::CacheDeltaLog& log : logs) {
-        log.phase_.assert_exclusive();  // between epochs: no workers running
-        log.reset();
-      }
-
-      // (lookup) -- worker w serves the sessions with index ≡ w (mod S)
-      // read-only, recording cache deltas. Walked in increasing i, so each
-      // queue is (vt, seq)-sorted by construction.
-      run_workers(shards, [&](std::size_t w) {
-        FeedTotals& acc = accumulators[w];
-        const net::ScopedLedgerOverride scope{&acc.ledger};
-        index::CacheDeltaLog& log = logs[w];
-        log.phase_.assert_exclusive();  // worker w is log w's sole owner
-        index::LookupEngine engine{service, store, {config.policy}};
-        for (std::size_t i = epoch_start; i < epoch_end; ++i) {
-          if (i % shards != w) continue;
-          log.begin_session(i);
-          const workload::StreamingRequest request = workload.request_at(i);
-          acc.fold(engine.resolve(request.query, request.target_msd, log));
-        }
-      });
-
-      // (intern) -- resolve the epoch's new queries against the shared pool,
-      // serialized in the driver.
-      for (index::CacheDeltaLog& log : logs) {
-        log.phase_.assert_exclusive();  // serial sub-phase: driver is alone
-        log.interns.phase_.assert_exclusive();
-        log.interns.intern_all(interner);
-      }
-
-      // (apply) -- worker t merges the delta queues addressed to its shard
-      // by (vt, seq) and applies them to the caches it owns, charging
-      // install traffic into its own accumulator's ledger (the lookup
-      // workers are past the barrier).
-      run_workers(shards, [&](std::size_t t) {
-        const net::ScopedLedgerOverride scope{&accumulators[t].ledger};
-        net::TrafficLedger& ledger = net::active(service.ledger());
-        std::vector<const std::vector<index::CacheDeltaLog::Delta>*> queues;
-        queues.reserve(shards);
-        for (const index::CacheDeltaLog& log : logs) {
-          log.phase_.assert_shared();  // apply sub-phase: buffers frozen
-          queues.push_back(&log.queue(t));
-        }
-        merge_by_virtual_time(queues, [&](std::size_t p,
-                                          const index::CacheDeltaLog::Delta& delta) {
-          const index::CacheDeltaLog& log = logs[p];
-          log.phase_.assert_shared();  // read-only rights, shared with peers
+  for (std::size_t epoch_start = 0; epoch_start < config.queries; epoch_start += epoch) {
+    const std::size_t epoch_end = std::min(config.queries, epoch_start + epoch);
+    if (plan.at_boundary) plan.at_boundary(epoch_start);
+    run_epoch(
+        logs, service.interner(),
+        // (lookup) -- worker w serves the sessions with index ≡ w (mod S)
+        // against the frozen caches, recording cache deltas. Walked in
+        // increasing i, so each queue is (vt, seq)-sorted by construction.
+        [&](std::size_t w, index::CacheDeltaLog& log) {
+          log.phase_.assert_exclusive();  // worker w is log w's sole owner
+          FeedTotals& acc = accumulators[w];
+          const net::ScopedLedgerOverride scope{&acc.ledger};
+          for (std::size_t i = epoch_start; i < epoch_end; ++i) {
+            if (i % shards != w) continue;
+            log.begin_session(i);
+            const workload::StreamingRequest request = plan.request_at(i);
+            const index::LookupOutcome outcome =
+                engines[w].resolve(request.query, request.target_msd, log);
+            acc.fold(outcome);
+            if (plan.observe) plan.observe(outcome);
+          }
+        },
+        // (apply) -- hand each delta to the cache this shard owns, charging
+        // install traffic to this worker's accumulator (the lookup workers
+        // are past the barrier).
+        [&](std::size_t t, const index::CacheDeltaLog& log,
+            const index::CacheDeltaLog::Delta& delta) {
           index::IndexNodeState* state = service.find_state(delta.node);
           if (state == nullptr) {
             throw InvariantError(
-                "sharded feed: cache delta addressed to a node with no index "
-                "partition (build pre-creates every partition)");
+                "feed: cache delta addressed to a node with no index partition "
+                "(the build and every join create one per member)");
           }
-          log.apply(delta, state->cache(), ledger, service.bus());
+          log.apply(delta, state->cache(), accumulators[t].ledger, service.bus());
         });
-      });
-    }
   }
 
   FeedTotals totals;
@@ -521,68 +424,13 @@ FeedTotals feed_streaming_world(const SimulationConfig& config, dht::Dht& dht,
   return totals;
 }
 
-SimulationResults run_streaming_simulation(const SimulationConfig& config) {
-  const std::size_t shards = std::max<std::size_t>(config.shards, 1);
-  if (config.substrate != Substrate::kRing) {
-    throw InvariantError("streaming simulation requires the ring substrate");
-  }
-  if (config.churn.enabled()) {
-    throw InvariantError("streaming simulation does not support churn");
-  }
-  if (config.transport != TransportKind::kInProcess) {
-    throw InvariantError("streaming simulation requires the in-process transport");
-  }
-  if (shards > 1 && !config.streaming) {
-    throw InvariantError("shards > 1 requires a streaming world (config.streaming)");
-  }
-
-  dht::Ring ring = dht::Ring::with_nodes(config.nodes);
-  net::TrafficLedger ledger;
-  storage::DhtStore store{ring, ledger, config.replication};
-  index::IndexService service{ring, ledger, config.cache_capacity, config.replication};
-  const biblio::ArticleStream stream{config.corpus};
-
-  const auto build_start = std::chrono::steady_clock::now();
-  build_streaming_world(config, ring, service, store, stream);
-  const double build_wall_s = wall_seconds_since(build_start);
-
-#ifdef DHTIDX_AUDIT
-  const index::IndexingScheme audit_scheme = index::IndexingScheme::make(config.scheme);
-  audit::Options audit_options;
-  audit_options.scheme = &audit_scheme;
-  audit::audit_or_throw("post-build", ring, service, store, audit_options);
-#endif
-  // Index construction traffic is not part of the per-query measurements
-  // (same rule as the sequential driver; the sharded build charges nothing,
-  // but the audit hooks above may have).
-  ledger.reset();
-
-  // --- run the query feed ----------------------------------------------------
-  workload::PopularityModel popularity{stream.size(), config.popularity_c,
-                                       config.popularity_alpha};
-  workload::StructureModel structure =
-      config.structure_weights.empty() ? workload::StructureModel{}
-                                       : workload::StructureModel{config.structure_weights};
-  const workload::StreamingWorkload workload{stream, std::move(popularity),
-                                             std::move(structure), config.seed};
-
-  const auto feed_start = std::chrono::steady_clock::now();
-  const FeedTotals feed = feed_streaming_world(config, ring, service, store, workload);
-  const double feed_wall_s = wall_seconds_since(feed_start);
-
-  // --- collect metrics -------------------------------------------------------
-  SimulationResults r;
-  r.articles = stream.size();
-  r.build_wall_s = build_wall_s;
-  r.feed_wall_s = feed_wall_s;
-  ledger.merge(feed.ledger);
-  collect_results(config, feed, ledger, ring, service, store, r);
-
-#ifdef DHTIDX_AUDIT
-  audit::audit_or_throw("post-run", ring, service, store, audit_options);
-#endif
-
-  return r;
+FeedTotals feed_streaming_world(const SimulationConfig& config, dht::Dht& dht,
+                                index::IndexService& service,
+                                storage::DhtStore& store,
+                                const workload::StreamingWorkload& workload) {
+  FeedPlan plan;
+  plan.request_at = [&workload](std::size_t i) { return workload.request_at(i); };
+  return feed_world(config, dht, service, store, plan);
 }
 
 }  // namespace dhtidx::sim

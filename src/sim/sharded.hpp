@@ -1,60 +1,33 @@
-// Shard-concurrent streaming simulation core (ROADMAP item 1: the paper's
-// world at 100x scale on one machine).
+// The epoch engine: the one build and the one feed loop every world runs.
+// DESIGN.md sections 12 and 15 have the full rules.
 //
-// A streaming cell never materializes its workload: articles come from
-// biblio::ArticleStream and queries from workload::StreamingWorkload, both
-// counter-addressable (item i is a pure function of (config, i)), so peak RSS
-// scales with live index state, not workload size. That counter addressing is
-// also what makes sharding sound: any partition of the item space across S
-// workers generates the same items.
+// A materialized world (biblio::Corpus, sequential QueryGenerator, any
+// substrate, churn, chaos, a message bus) runs on one shard; a streamed world
+// (counter-addressable ArticleStream and StreamingWorkload, ring substrate,
+// no bus) on S. Both share one IndexService, DhtStore and substrate; a shard
+// owns the node ids at positions ≡ shard (mod S) of the sorted member list,
+// and only the owner mutates a node's partition, store or shortcut cache.
 //
-// Execution model (DESIGN.md sections 12 and 15 have the full rules):
-//
-//  - One shared world. The IndexService (with its query interner), the
-//    DhtStore and the Ring are process-global — per-shard slices would break
-//    `const Query*` identity, the invariant the whole PR 5 hot path rests on.
-//    A shard owns a partition of the *node ids* (position in the sorted
-//    member list modulo S); only the owner ever mutates a node's index
-//    partition, record store or shortcut cache.
-//  - Build = bulk-synchronous epochs. Each epoch of articles runs three
-//    sub-phases: (produce) S workers synthesize their articles, compute
-//    records, scheme mappings and replica placements, and emit operations
-//    into per-(producer, owner-shard) queues tagged with (virtual time = the
-//    global article index, seq = emission order within the article);
-//    (intern) the driver serially interns the epoch's new queries — the only
-//    writes the shared interner ever sees; (apply) S workers each merge the
-//    queues addressed to their shard by (vt, seq) and apply the operations to
-//    the nodes they own. vt values are disjoint across producers, so the
-//    merged order is a total order identical to the sequential build's — the
-//    results are bit-identical for every S.
-//  - Cacheless feed = embarrassingly parallel sessions. CachePolicy::kNone
-//    sessions are read-only on all shared state; each worker runs the
-//    sessions with index ≡ worker (mod S), accounts traffic into a private
-//    ledger through net::ScopedLedgerOverride, and the driver folds the
-//    integer accumulators — order-independent, so again bit-identical across
-//    S.
-//  - Caching feed = bulk-synchronous query epochs, the build pattern one
-//    level up (DESIGN.md section 15). Each epoch of queries runs (lookup) S
-//    workers serving their session slice read-only against the frozen
-//    shortcut caches, each recording its sessions' cache mutations into an
-//    index::CacheDeltaLog — (vt = query index, seq)-tagged deltas in
-//    per-owner-shard queues; (intern) the driver serially interns queries
-//    the deltas reference that the pool has not seen; (apply) S workers each
-//    merge the queues addressed to their shard by (vt, seq) and hand every
-//    delta to CacheDeltaLog::apply on the caches they own. The sequential
-//    feed runs the same record → intern → apply path with one session per
-//    epoch (LookupEngine::resolve without a log). MRU order, LRU evictions,
-//    hit ratios and install traffic follow the same total order for every
-//    S — bit-identical across shard counts, including S = 1 (which runs the
-//    identical epoch code inline).
-//
-// Restrictions (InvariantError otherwise): Ring substrate, in-process
-// transport, no churn; shards > 1 additionally requires a streaming world.
+// Build and feed both run bulk-synchronous epochs of three sub-phases:
+// workers record (vt, seq)-tagged items into per-owner-shard queues (the
+// build's record and mapping copies, placed by DhtStore::placement and
+// IndexService::placement; the feed's shortcut-cache deltas, recorded by
+// sessions reading frozen caches); the driver interns the epoch's new
+// queries; each owner merges its queues by (vt, seq) and applies them
+// (DhtStore::place, IndexService::place, CacheDeltaLog::apply). The merged
+// order equals a sequential pass, so results are bit-identical for every S,
+// and the build equals IndexBuilder::index_file per article, frames included.
+// The feed epoch length is a property of the world, never of S: 1 for a
+// materialized world (the paper's sequential feed; churn, republish and chaos
+// fire at every boundary), kFeedEpoch for a streamed caching world, the whole
+// feed for a streamed cacheless one (its sessions record no deltas).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 
+#include "biblio/corpus.hpp"
 #include "biblio/stream.hpp"
 #include "index/lookup.hpp"
 #include "index/service.hpp"
@@ -66,12 +39,26 @@
 
 namespace dhtidx::sim {
 
-/// Builds the full index and record store for a streaming world using
-/// config.shards producers/appliers. Exposed so tests can audit a sharded
-/// build directly. `service` and `store` must be empty and share `dht`.
-void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
-                           index::IndexService& service, storage::DhtStore& store,
-                           const biblio::ArticleStream& stream);
+/// Builds the full index and record store of a world from `source` (a
+/// biblio::Corpus or a biblio::ArticleStream) with config.shards
+/// producers/appliers. `service` and `store` must be empty and share `dht`;
+/// frames are posted on their bus when one is attached (one shard only).
+template <typename ArticleSource>
+void build_world(const SimulationConfig& config, dht::Dht& dht,
+                 index::IndexService& service, storage::DhtStore& store,
+                 const ArticleSource& source);
+extern template void build_world(const SimulationConfig&, dht::Dht&, index::IndexService&,
+                                 storage::DhtStore&, const biblio::Corpus&);
+extern template void build_world(const SimulationConfig&, dht::Dht&, index::IndexService&,
+                                 storage::DhtStore&, const biblio::ArticleStream&);
+
+/// build_world over a streamed source. Exposed so tests and the benchmark
+/// can build (and audit) a streamed world directly.
+inline void build_streaming_world(const SimulationConfig& config, dht::Dht& dht,
+                                  index::IndexService& service, storage::DhtStore& store,
+                                  const biblio::ArticleStream& stream) {
+  build_world(config, dht, service, store, stream);
+}
 
 /// Aggregated feed-phase measurements. Every feed worker folds its
 /// sessions into its own FeedTotals and the driver merges them after the
@@ -93,37 +80,39 @@ struct FeedTotals {
   /// order when node_load_fractions are derived.
   // dhtidx-lint: allow(hot-path-map) "touched once per visited node per session, merged once per feed; sorted iteration drives deterministic load fractions"
   std::map<Id, std::uint64_t> node_touches;
-  /// Feed traffic charged through a worker's ledger override (sharded
-  /// feeds); a sequential feed charges the service ledger directly.
+  /// The feed's analytic traffic: each worker charges its own FeedTotals
+  /// through a net::ScopedLedgerOverride.
   net::TrafficLedger ledger;
 
   void fold(const index::LookupOutcome& outcome);
   void merge(const FeedTotals& other);
 };
 
-/// Fills the SimulationResults fields both engines share: the configuration
-/// echo, the feed's session counters and per-query averages, hit ratio,
-/// cache occupancy, index and store totals, and node-load fractions.
-/// `ledger` is the whole query-phase analytic ledger. Call after the feed,
-/// before any repair changes membership.
-void collect_results(const SimulationConfig& config, const FeedTotals& feed,
-                     const net::TrafficLedger& ledger, const dht::Dht& dht,
-                     const index::IndexService& service,
-                     const storage::DhtStore& store, SimulationResults& r);
+/// What a world plugs into the feed loop.
+struct FeedPlan {
+  /// Request `i` of the feed. Called once per i; with one shard, in
+  /// increasing i (a sequential generator may ignore i).
+  std::function<workload::StreamingRequest(std::size_t)> request_at;
+  /// Runs serially before the epoch that starts at query `i`: where churn,
+  /// republish and chaos fire. Optional.
+  std::function<void(std::size_t)> at_boundary;
+  /// Sees every session's outcome on the worker that ran it; one-shard
+  /// worlds only. Optional.
+  std::function<void(const index::LookupOutcome&)> observe;
+};
 
-/// Runs the query feed over an already-built streaming world with
-/// config.shards workers: one read-only parallel pass for cacheless
-/// policies, bulk-synchronous lookup/intern/apply query epochs for caching
-/// policies. Exposed so tests can audit the cache state of a sharded cached
-/// world directly (run_streaming_simulation composes build + feed).
+/// Runs config.queries sessions over an already-built world with
+/// config.shards workers, in lookup/intern/apply epochs of the world's
+/// epoch length (config.streaming and config.policy decide it).
+FeedTotals feed_world(const SimulationConfig& config, dht::Dht& dht,
+                      index::IndexService& service, storage::DhtStore& store,
+                      const FeedPlan& plan);
+
+/// feed_world over a streamed workload. Exposed so tests and the benchmark
+/// can feed (and audit) a streamed world directly.
 FeedTotals feed_streaming_world(const SimulationConfig& config, dht::Dht& dht,
                                 index::IndexService& service,
                                 storage::DhtStore& store,
                                 const workload::StreamingWorkload& workload);
-
-/// Runs one streaming (optionally shard-concurrent) cell end to end.
-/// run_simulation dispatches here when config.streaming or config.shards > 1;
-/// call through run_simulation unless you need the streaming path explicitly.
-SimulationResults run_streaming_simulation(const SimulationConfig& config);
 
 }  // namespace dhtidx::sim

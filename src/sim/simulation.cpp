@@ -2,24 +2,25 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 
-#include "common/error.hpp"
 #ifdef DHTIDX_AUDIT
 #include "audit/audit.hpp"
 #endif
+#include "biblio/stream.hpp"
+#include "common/rss.hpp"
 #include "dht/can.hpp"
 #include "dht/chord.hpp"
+#include "dht/pastry.hpp"
+#include "dht/ring.hpp"
 #include "net/bus.hpp"
 #include "net/chaos.hpp"
 #include "net/transport.hpp"
-#include "dht/pastry.hpp"
-#include "dht/ring.hpp"
 #include "sim/sharded.hpp"
 #include "workload/generator.hpp"
+#include "workload/streaming.hpp"
 
 namespace dhtidx::sim {
-
-using index::CachePolicy;
 
 namespace {
 
@@ -27,45 +28,176 @@ double wall_seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
+/// The restriction table: every configuration the engine rejects, checked
+/// before any world is built. The first violated row names the axis.
+void check_supported(const SimulationConfig& c, const biblio::Corpus* shared_corpus) {
+  const bool ring = c.substrate == Substrate::kRing;
+  const struct {
+    bool violated;
+    ConfigAxis axis;
+    const char* why;
+  } table[] = {
+      {c.queries == 0, ConfigAxis::kQueries,
+       "a feed needs at least one query (every per-query average divides by the count)"},
+      {c.shards > 1 && !c.streaming, ConfigAxis::kShards,
+       "shards > 1 requires a streamed world (config.streaming)"},
+      {c.streaming && !ring, ConfigAxis::kSubstrate, "a streamed world requires the ring substrate"},
+      {c.streaming && c.transport != TransportKind::kInProcess, ConfigAxis::kTransport,
+       "a streamed world has no message bus, so it requires the in-process transport"},
+      {c.streaming && c.churn.enabled(), ConfigAxis::kChurn,
+       "a streamed world does not support churn"},
+      {c.streaming && shared_corpus != nullptr, ConfigAxis::kCorpus,
+       "a streamed world synthesizes its own corpus (shared_corpus must be null)"},
+      {c.churn.enabled() && !ring, ConfigAxis::kChurn,
+       "churn requires the ring substrate (chord/can/pastry have protocol-level failure "
+       "handling of their own)"},
+      {c.chaos.enabled() && c.transport != TransportKind::kEventQueue, ConfigAxis::kChaos,
+       "chaos requires the event-queue transport (frame faults act on queued frames)"},
+      {c.chaos.enabled() && !ring, ConfigAxis::kChaos,
+       "chaos requires the ring substrate (like churn, the protocol substrates have failure "
+       "handling of their own)"},
+      {c.replication > 1 && (c.substrate == Substrate::kCan || c.substrate == Substrate::kPastry),
+       ConfigAxis::kReplication,
+       "replication > 1 requires a substrate with a replica set (ring or chord); CAN and "
+       "Pastry would silently keep one copy"},
+  };
+  for (const auto& row : table) {
+    if (row.violated) throw UnsupportedConfig(row.axis, row.why);
+  }
+}
+
+/// A deterministic sample of `fraction` of the sorted member list.
+std::vector<Id> sample_members(const dht::Dht& dht, double fraction, std::uint64_t seed) {
+  Rng rng{seed};
+  std::vector<Id> members = dht.node_ids();
+  std::sort(members.begin(), members.end());
+  const auto count = static_cast<std::size_t>(fraction * static_cast<double>(members.size()));
+  std::vector<Id> sample;
+  sample.reserve(count);
+  for (std::size_t k = 0; k < count && !members.empty(); ++k) {
+    const std::size_t pick = rng.next_index(members.size());
+    sample.push_back(members[pick]);
+    members.erase(members.begin() + static_cast<std::ptrdiff_t>(pick));
+  }
+  return sample;
+}
+
+/// Fills the SimulationResults fields every world shares: the configuration
+/// echo, the feed's session counters and per-query averages, hit ratio,
+/// cache occupancy, index and store totals, and node-load fractions.
+/// `ledger` is the whole query-phase analytic ledger. Call after the feed,
+/// before any repair changes membership.
+void collect_results(const SimulationConfig& config, const FeedTotals& feed,
+                     const net::TrafficLedger& ledger, const dht::Dht& dht,
+                     const index::IndexService& service,
+                     const storage::DhtStore& store, SimulationResults& r) {
+  r.scheme = config.scheme;
+  r.policy = config.policy;
+  r.cache_capacity = config.cache_capacity;
+  r.nodes = config.nodes;
+  r.queries = config.queries;
+  r.replication = config.replication;
+  r.transport = config.transport;
+  r.peak_rss_bytes = dhtidx::peak_rss_bytes();
+
+  r.rpc_failures = feed.rpc_failures;
+  r.failed_lookups = feed.failed_lookups;
+  r.non_indexed_queries = feed.non_indexed;
+  r.degraded_sessions = feed.degraded;
+  r.gave_up_sessions = feed.gave_up;
+  r.unreachable_sessions = feed.unreachable;
+  r.stale_shortcut_invalidations = feed.stale_shortcuts;
+
+  const double n_queries = static_cast<double>(config.queries);
+  r.avg_interactions = static_cast<double>(feed.interactions) / n_queries;
+  r.avg_generalization_steps = static_cast<double>(feed.generalizations) / n_queries;
+  r.normal_traffic_per_query = static_cast<double>(ledger.normal_bytes()) / n_queries;
+  r.cache_traffic_per_query = static_cast<double>(ledger.cache.bytes()) / n_queries;
+  r.hit_ratio = static_cast<double>(feed.hits) / n_queries;
+  r.first_node_hit_share =
+      feed.hits == 0 ? 0.0
+                     : static_cast<double>(feed.first_node_hits) /
+                           static_cast<double>(feed.hits);
+  r.ledger = ledger;
+
+  // Cache occupancy across *all* nodes, including ones that never stored a
+  // shortcut (the paper reports 4.4% completely empty caches).
+  std::uint64_t cached_total = 0;
+  std::size_t full = 0;
+  std::size_t empty = 0;
+  std::size_t max_cached = 0;
+  const std::vector<Id> nodes = dht.node_ids();
+  for (const Id& node : nodes) {
+    std::size_t size = 0;
+    if (const index::IndexNodeState* state = service.find_state(node); state != nullptr) {
+      size = state->cache().size();
+    }
+    cached_total += size;
+    max_cached = std::max(max_cached, size);
+    if (size == 0) ++empty;
+    if (config.cache_capacity != 0 && size >= config.cache_capacity) ++full;
+  }
+  const double n_nodes = static_cast<double>(nodes.size());
+  r.avg_cached_keys_per_node = static_cast<double>(cached_total) / n_nodes;
+  r.max_cached_keys = max_cached;
+  r.full_cache_fraction = static_cast<double>(full) / n_nodes;
+  r.empty_cache_fraction = static_cast<double>(empty) / n_nodes;
+
+  // Regular keys: index keys plus stored data keys, averaged over all nodes.
+  const index::IndexService::Totals totals = service.totals();
+  std::size_t stored_keys = 0;
+  for (const auto& [node, node_store] : store.node_stores()) {
+    stored_keys += node_store.key_count();
+  }
+  r.avg_regular_keys_per_node = static_cast<double>(totals.keys + stored_keys) / n_nodes;
+  r.index_keys = totals.keys;
+  r.index_mappings = totals.mappings;
+  r.index_bytes = totals.bytes;
+  r.data_bytes = store.total_bytes();
+
+  // Figure 15: per-node share of queries, busiest first.
+  r.node_load_fractions.reserve(nodes.size());
+  for (const Id& node : nodes) {
+    const auto it = feed.node_touches.find(node);
+    const double touches =
+        it == feed.node_touches.end() ? 0.0 : static_cast<double>(it->second);
+    r.node_load_fractions.push_back(touches / n_queries);
+  }
+  std::sort(r.node_load_fractions.begin(), r.node_load_fractions.end(), std::greater<>());
+}
+
 }  // namespace
+
+const char* to_string(ConfigAxis axis) {
+  constexpr const char* kNames[] = {"queries", "shards", "substrate", "transport",
+                                    "churn",   "chaos",  "corpus",    "replication"};
+  static_assert(std::size(kNames) == static_cast<std::size_t>(ConfigAxis::kReplication) + 1);
+  return kNames[static_cast<std::size_t>(axis)];
+}
 
 SimulationResults run_simulation(const SimulationConfig& config,
                                  const biblio::Corpus* shared_corpus) {
-  if (config.chaos.enabled()) {
-    if (config.transport != TransportKind::kEventQueue) {
-      throw InvariantError(
-          "chaos simulation requires the event-queue transport (frame faults "
-          "act on queued frames)");
-    }
-    if (config.substrate != Substrate::kRing) {
-      throw InvariantError(
-          "chaos simulation requires the ring substrate (like churn, the "
-          "protocol substrates have failure handling of their own)");
-    }
-  }
-  if (config.streaming || config.shards > 1) {
-    // Streaming (and therefore sharded) worlds take the counter-addressable
-    // path; the materialized path below stays byte-for-byte untouched so the
-    // paper-scale golden outputs cannot drift.
-    if (shared_corpus != nullptr) {
-      throw InvariantError(
-          "streaming runs synthesize their own corpus (shared_corpus must be null)");
-    }
-    return run_streaming_simulation(config);
-  }
+  check_supported(config, shared_corpus);
 
-  // --- build the world -----------------------------------------------------
+  // --- the world -------------------------------------------------------------
+  // A materialized world holds its corpus; a streamed world synthesizes
+  // articles and queries on demand.
+  const bool materialized = !config.streaming;
   std::optional<biblio::Corpus> local_corpus;
-  if (shared_corpus == nullptr) {
-    local_corpus.emplace(biblio::Corpus::generate(config.corpus));
+  std::optional<biblio::ArticleStream> stream;
+  const biblio::Corpus* corpus = shared_corpus;
+  if (!materialized) {
+    stream.emplace(config.corpus);
+  } else if (corpus == nullptr) {
+    corpus = &local_corpus.emplace(biblio::Corpus::generate(config.corpus));
   }
-  const biblio::Corpus& corpus = shared_corpus ? *shared_corpus : *local_corpus;
 
   std::optional<dht::Ring> ring_substrate;
   std::optional<dht::ChordNetwork> chord_substrate;
   std::optional<dht::CanNetwork> can_substrate;
   std::optional<dht::PastryNetwork> pastry_substrate;
   dht::Dht* substrate = nullptr;
+  net::TrafficStats* routing = nullptr;  // substrate routing charges, when it routes
   switch (config.substrate) {
     case Substrate::kRing:
       ring_substrate.emplace(dht::Ring::with_nodes(config.nodes));
@@ -82,6 +214,7 @@ SimulationResults run_simulation(const SimulationConfig& config,
         throw InvariantError("chord substrate failed to converge");
       }
       substrate = &*chord_substrate;
+      routing = &chord_substrate->routing_stats();
       break;
     case Substrate::kCan:
       can_substrate.emplace(config.seed ^ 0xCA9);
@@ -89,6 +222,7 @@ SimulationResults run_simulation(const SimulationConfig& config,
         can_substrate->add_node("node-" + std::to_string(i));
       }
       substrate = &*can_substrate;
+      routing = &can_substrate->routing_stats();
       break;
     case Substrate::kPastry:
       pastry_substrate.emplace(config.seed ^ 0x9A57);
@@ -100,44 +234,43 @@ SimulationResults run_simulation(const SimulationConfig& config,
         throw InvariantError("pastry substrate failed to converge");
       }
       substrate = &*pastry_substrate;
+      routing = &pastry_substrate->routing_stats();
       break;
   }
   dht::Dht& ring = *substrate;
-  if (config.churn.enabled() && config.substrate != Substrate::kRing) {
-    throw InvariantError(
-        "churn simulation requires the ring substrate (chord/can/pastry have "
-        "protocol-level failure handling of their own)");
-  }
   net::TrafficLedger ledger;
   storage::DhtStore store{ring, ledger, config.replication};
   index::IndexService service{ring, ledger, config.cache_capacity, config.replication};
 
-  // Message layer: every RPC additionally travels as a typed net::Message so
-  // the bus's measured ledger counts serialized frame bytes next to the
-  // analytic estimates in `ledger`. The in-process transport delivers
-  // synchronously (zero-copy, behaviour identical to direct calls); the
-  // event-queue transport encodes, queues and decodes every frame.
+  // Message layer (materialized worlds only, which keeps streamed results
+  // identical across --shards): every RPC additionally travels as a typed
+  // net::Message so the bus's measured ledger counts serialized frame bytes
+  // next to the analytic estimates in `ledger`. The in-process transport
+  // delivers synchronously (zero-copy, behaviour identical to direct calls);
+  // the event-queue transport encodes, queues and decodes every frame.
   std::optional<net::InProcessTransport> in_process;
   std::optional<net::EventQueueTransport> event_queue;
-  net::Transport* transport = nullptr;
-  if (config.transport == TransportKind::kEventQueue) {
-    event_queue.emplace();
-    transport = &*event_queue;
-  } else {
-    in_process.emplace();
-    transport = &*in_process;
+  std::optional<net::MessageBus> bus;
+  if (materialized) {
+    net::Transport* transport = nullptr;
+    if (config.transport == TransportKind::kEventQueue) {
+      transport = &event_queue.emplace();
+    } else {
+      transport = &in_process.emplace();
+    }
+    bus.emplace(*transport);
+    service.set_bus(&*bus);
+    store.set_bus(&*bus);
   }
-  net::MessageBus bus{*transport};
-  service.set_bus(&bus);
-  store.set_bus(&bus);
 
   // One ChaosInjector serves both fault planes: churn uses the inherited
   // crash/drop delivery plane (its coin stream is seeded exactly like the old
   // FailureInjector, so churn-only goldens replay unchanged), chaos adds the
   // frame plane on the event-queue transport.
+  const bool churn_enabled = config.churn.enabled();
   const bool chaos_enabled = config.chaos.enabled();
   std::optional<net::ChaosInjector> injector;
-  if (config.churn.enabled() || chaos_enabled) {
+  if (churn_enabled || chaos_enabled) {
     injector.emplace(config.seed ^ 0xFA11C0DEull);
     service.set_failures(&*injector);
     store.set_failures(&*injector);
@@ -145,101 +278,96 @@ SimulationResults run_simulation(const SimulationConfig& config,
     store.set_retry_policy(config.retry);
   }
   if (chaos_enabled) {
-    bus.set_retry_policy(config.retry);
+    bus->set_retry_policy(config.retry);
     event_queue->set_chaos(&*injector);
   }
-  index::IndexBuilder builder{service, store, index::IndexingScheme::make(config.scheme)};
 
+  // --- build -----------------------------------------------------------------
   const auto build_start = std::chrono::steady_clock::now();
-  for (const biblio::Article& article : corpus.articles()) {
-    builder.index_file(article.descriptor(), article.file_name(), article.file_bytes);
+  if (materialized) {
+    build_world(config, ring, service, store, *corpus);
+    bus->sync();  // flush publish/store frames queued during the build
+  } else {
+    build_streaming_world(config, ring, service, store, *stream);
   }
-  bus.sync();  // flush publish/store frames queued during the build
   const double build_wall_s = wall_seconds_since(build_start);
 #ifdef DHTIDX_AUDIT
   // Phase boundary: the index is fully built, no query has run. Any audit
   // traffic lands before the resets below, so measurements are unaffected.
+  const index::IndexingScheme audit_scheme = index::IndexingScheme::make(config.scheme);
   audit::Options audit_options;
-  audit_options.scheme = &builder.scheme();
+  audit_options.scheme = &audit_scheme;
   audit::audit_or_throw("post-build", ring, service, store, audit_options);
 #endif
   // Index construction traffic is not part of the per-query measurements --
   // neither the analytic estimates nor the measured wire bytes.
   ledger.reset();
-  bus.measured().reset();
-  if (chord_substrate) chord_substrate->routing_stats().reset();
-  if (can_substrate) can_substrate->routing_stats().reset();
-  if (pastry_substrate) pastry_substrate->routing_stats().reset();
+  if (bus) bus->measured().reset();
+  if (routing != nullptr) routing->reset();
 
-  // --- run the query feed ---------------------------------------------------
-  index::LookupEngine engine{service, store, {config.policy}};
-  workload::PopularityModel popularity{corpus.size(), config.popularity_c,
+  // --- feed --------------------------------------------------------------------
+  SimulationResults r;
+  r.articles = materialized ? corpus->size() : stream->size();
+  workload::PopularityModel popularity{r.articles, config.popularity_c,
                                        config.popularity_alpha};
   workload::StructureModel structure =
       config.structure_weights.empty() ? workload::StructureModel{}
                                        : workload::StructureModel{config.structure_weights};
-  workload::QueryGenerator generator{corpus, std::move(popularity), std::move(structure),
-                                     config.seed};
 
-  SimulationResults r;
-  r.articles = corpus.size();
-  FeedTotals feed;
-
-  // --- churn schedule --------------------------------------------------------
-  const bool churn_enabled = config.churn.enabled();
-  const std::size_t crash_at =
-      churn_enabled ? static_cast<std::size_t>(static_cast<double>(config.queries) *
-                                               config.churn.crash_point)
-                    : config.queries;
+  // The schedule, by feed fraction: the crash point (then periodic publisher
+  // refreshes), and the adversary's start and heal points.
+  const auto at_fraction = [&](bool enabled, double fraction) {
+    return enabled ? static_cast<std::size_t>(static_cast<double>(config.queries) * fraction)
+                   : config.queries;
+  };
+  const std::size_t crash_at = at_fraction(churn_enabled, config.churn.crash_point);
   bool churned = false;
   std::vector<Id> crashed_ids;
   std::uint64_t post_churn_interactions = 0;
-
-  // --- chaos schedule --------------------------------------------------------
-  const std::size_t chaos_start_at =
-      chaos_enabled ? static_cast<std::size_t>(static_cast<double>(config.queries) *
-                                               config.chaos.start_point)
-                    : config.queries;
+  const std::size_t chaos_start_at = at_fraction(chaos_enabled, config.chaos.start_point);
   const std::size_t chaos_heal_at =
-      chaos_enabled
-          ? std::max(chaos_start_at + 1,
-                     static_cast<std::size_t>(static_cast<double>(config.queries) *
-                                              config.chaos.heal_point))
-          : config.queries;
+      chaos_enabled ? std::max(chaos_start_at + 1, at_fraction(true, config.chaos.heal_point))
+                    : config.queries;
   bool chaos_started = false;
   bool chaos_healed = false;
   double heal_clock_ms = 0.0;
-  const auto feed_start = std::chrono::steady_clock::now();
+
+  std::optional<index::IndexBuilder> builder;
+  if (materialized) {
+    builder.emplace(service, store, index::IndexingScheme::make(config.scheme));
+  }
   const auto republish_all = [&](std::uint64_t now) {
-    for (const biblio::Article& article : corpus.articles()) {
+    for (const biblio::Article& article : corpus->articles()) {
       const std::string name = article.file_name();
-      builder.republish(article.descriptor(), now, &name, article.file_bytes);
+      builder->republish(article.descriptor(), now, &name, article.file_bytes);
     }
   };
+  const auto heal = [&] {
+    injector->clear_profile();
+    injector->heal();
+    chaos_healed = true;
+    heal_clock_ms = event_queue->clock_ms();
+  };
 
-  for (std::size_t i = 0; i < config.queries; ++i) {
+  // Fires before query i of a materialized world (epoch length 1, so every
+  // query is a boundary).
+  const auto at_boundary = [&](std::size_t i) {
     if (churn_enabled && !churned && i >= crash_at) {
       // Crash a deterministic sample of nodes: their disks (index partition
       // and record store) are gone and RPCs to them fail. Ring membership is
       // left untouched -- the failures are undetected by the substrate, which
       // is exactly what replica failover has to survive.
-      Rng churn_rng{config.seed ^ 0x0c11a05ull};
-      std::vector<Id> members = ring.node_ids();
-      std::sort(members.begin(), members.end());
-      const std::size_t to_crash = static_cast<std::size_t>(
-          config.churn.crash_fraction * static_cast<double>(members.size()));
-      for (std::size_t k = 0; k < to_crash && !members.empty(); ++k) {
-        const std::size_t pick = churn_rng.next_index(members.size());
-        const Id victim = members[pick];
-        members.erase(members.begin() + static_cast<std::ptrdiff_t>(pick));
+      crashed_ids = sample_members(ring, config.churn.crash_fraction, config.seed ^ 0x0c11a05ull);
+      for (const Id& victim : crashed_ids) {
         injector->crash(victim);
         r.mappings_lost += service.drop_node(victim);
         r.records_lost += store.drop_node(victim);
-        crashed_ids.push_back(victim);
       }
       r.crashed_nodes = crashed_ids.size();
       for (std::size_t j = 0; j < config.churn.joins; ++j) {
-        ring_substrate->add(Id::hash("joined-" + std::to_string(j)));
+        const Id joined = Id::hash("joined-" + std::to_string(j));
+        ring_substrate->add(joined);
+        service.state_at(joined);  // like every member's, created before it serves
       }
       r.joined_nodes = config.churn.joins;
       injector->set_drop_probability(config.churn.drop_probability);
@@ -267,71 +395,71 @@ SimulationResults run_simulation(const SimulationConfig& config,
       profile.reorder_window_ms = config.chaos.reorder_window_ms;
       injector->set_profile(profile);
       if (config.chaos.partition_fraction > 0.0) {
-        Rng partition_rng{config.seed ^ 0x9a2717ull};
-        std::vector<Id> members = ring.node_ids();
-        std::sort(members.begin(), members.end());
-        const std::size_t to_isolate = static_cast<std::size_t>(
-            config.chaos.partition_fraction * static_cast<double>(members.size()));
-        std::vector<Id> victims;
-        victims.reserve(to_isolate);
-        for (std::size_t k = 0; k < to_isolate && !members.empty(); ++k) {
-          const std::size_t pick = partition_rng.next_index(members.size());
-          victims.push_back(members[pick]);
-          members.erase(members.begin() + static_cast<std::ptrdiff_t>(pick));
-        }
+        const std::vector<Id> victims =
+            sample_members(ring, config.chaos.partition_fraction, config.seed ^ 0x9a2717ull);
         injector->install_partition(victims);
         r.partitioned_nodes = victims.size();
       }
       chaos_started = true;
     }
-    if (chaos_started && !chaos_healed && i >= chaos_heal_at) {
-      injector->clear_profile();
-      injector->heal();
-      chaos_healed = true;
-      heal_clock_ms = event_queue->clock_ms();
-    }
+    if (chaos_started && !chaos_healed && i >= chaos_heal_at) heal();
+  };
 
-    const workload::Request request = generator.next();
-    const query::Query target = corpus.article(request.article_index).msd();
-    const index::LookupOutcome outcome = engine.resolve(request.query, target);
-
-    feed.fold(outcome);
-    if (churned) {
-      ++r.sessions_after_churn;
-      post_churn_interactions += static_cast<std::uint64_t>(outcome.interactions);
-      if (!outcome.found) ++r.failed_after_churn;
-      if (!outcome.non_indexed) {
-        ++r.indexed_sessions_after_churn;
-        if (!outcome.found) ++r.indexed_failed_after_churn;
-      }
+  const auto feed_start = std::chrono::steady_clock::now();
+  FeedTotals feed;
+  if (materialized) {
+    workload::QueryGenerator generator{*corpus, std::move(popularity), std::move(structure),
+                                       config.seed};
+    FeedPlan plan;
+    plan.request_at = [&](std::size_t) {
+      workload::Request drawn = generator.next();
+      const std::size_t article = drawn.article_index;
+      return workload::StreamingRequest{article, drawn.structure, std::move(drawn.query),
+                                        corpus->article(article).msd()};
+    };
+    if (churn_enabled || chaos_enabled) plan.at_boundary = at_boundary;
+    if (churn_enabled) {
+      plan.observe = [&](const index::LookupOutcome& outcome) {
+        if (!churned) return;
+        ++r.sessions_after_churn;
+        post_churn_interactions += static_cast<std::uint64_t>(outcome.interactions);
+        if (!outcome.found) ++r.failed_after_churn;
+        if (!outcome.non_indexed) {
+          ++r.indexed_sessions_after_churn;
+          if (!outcome.found) ++r.indexed_failed_after_churn;
+        }
+      };
     }
+    feed = feed_world(config, ring, service, store, plan);
+  } else {
+    const workload::StreamingWorkload workload{*stream, std::move(popularity),
+                                               std::move(structure), config.seed};
+    feed = feed_streaming_world(config, ring, service, store, workload);
   }
 
   // Short feeds (or heal_point >= 1.0) can end before the scheduled heal;
   // force it so metrics and the post-run audit always see a healed network.
-  if (chaos_started && !chaos_healed) {
-    injector->clear_profile();
-    injector->heal();
-    chaos_healed = true;
-    heal_clock_ms = event_queue->clock_ms();
-  }
+  if (chaos_started && !chaos_healed) heal();
 
   // --- collect metrics -------------------------------------------------------
   r.build_wall_s = build_wall_s;
   r.feed_wall_s = wall_seconds_since(feed_start);
+  ledger.merge(feed.ledger);
   collect_results(config, feed, ledger, ring, service, store, r);
   const double n_queries = static_cast<double>(config.queries);
 
-  // Measured wire traffic: flush any frames still queued from the last
-  // session, then snapshot the bus ledger before repair-phase maintenance
-  // traffic is generated.
-  bus.sync();
-  r.wire_ledger = bus.measured();
-  r.wire_normal_traffic_per_query =
-      static_cast<double>(r.wire_ledger.normal_bytes()) / n_queries;
-  r.wire_cache_traffic_per_query =
-      static_cast<double>(r.wire_ledger.cache.bytes()) / n_queries;
-  r.wire_messages = r.wire_ledger.total_messages();
+  if (bus) {
+    // Measured wire traffic: flush any frames still queued from the last
+    // session, then snapshot the bus ledger before repair-phase maintenance
+    // traffic is generated.
+    bus->sync();
+    r.wire_ledger = bus->measured();
+    r.wire_normal_traffic_per_query =
+        static_cast<double>(r.wire_ledger.normal_bytes()) / n_queries;
+    r.wire_cache_traffic_per_query =
+        static_cast<double>(r.wire_ledger.cache.bytes()) / n_queries;
+    r.wire_messages = r.wire_ledger.total_messages();
+  }
   if (event_queue) r.event_clock_ms = event_queue->clock_ms();
 
   // Availability under churn.
@@ -347,16 +475,12 @@ SimulationResults run_simulation(const SimulationConfig& config,
                   static_cast<double>(r.indexed_sessions_after_churn);
   }
 
-  if (chord_substrate || can_substrate || pastry_substrate) {
-    const net::TrafficStats& routing =
-        chord_substrate ? chord_substrate->routing_stats()
-        : can_substrate ? can_substrate->routing_stats()
-                        : pastry_substrate->routing_stats();
-    r.routing_bytes = routing.bytes();
+  if (routing != nullptr) {
+    r.routing_bytes = routing->bytes();
     r.avg_routing_hops_per_lookup =
         feed.interactions == 0
             ? 0.0
-            : static_cast<double>(routing.messages()) / static_cast<double>(feed.interactions);
+            : static_cast<double>(routing->messages()) / static_cast<double>(feed.interactions);
   }
 
   // --- repair ----------------------------------------------------------------
@@ -373,8 +497,8 @@ SimulationResults run_simulation(const SimulationConfig& config,
     r.repair_moves += store.rebalance();
     r.repair_moves += service.rebalance();
     republish_all(config.queries);
-    engine.purge_stale_shortcuts();
-    bus.sync();  // flush republish frames before the world is torn down
+    index::LookupEngine{service, store, {config.policy}}.purge_stale_shortcuts();
+    bus->sync();  // flush republish frames before the world is torn down
   }
 
   if (chaos_started) {
@@ -383,9 +507,9 @@ SimulationResults run_simulation(const SimulationConfig& config,
     r.chaos_frames_reordered = injector->reordered_frames();
     r.chaos_frames_delayed = injector->delayed_frames();
     r.chaos_frames_corrupted = injector->corrupted_frames();
-    r.bus_timeouts = bus.timeouts();
-    r.bus_duplicates = bus.duplicates_detected();
-    r.bus_rejected = bus.rejected_frames();
+    r.bus_timeouts = bus->timeouts();
+    r.bus_duplicates = bus->duplicates_detected();
+    r.bus_rejected = bus->rejected_frames();
     // Virtual time from the heal to the end of repair: how long the network
     // took to re-converge once the adversary stopped.
     r.convergence_ms = event_queue->clock_ms() - heal_clock_ms;

@@ -5,14 +5,19 @@
 // ... Each simulation consists of sequentially feeding the indexing network
 // with 50,000 queries from our query generator."
 //
-// Simulation wires the whole stack together -- corpus, ring, storage, index
-// service, lookup engine, query generator -- runs the query feed, and
-// collects every metric of Figures 11-15 and Table I.
+// run_simulation is the only driver. It checks the configuration against one
+// restriction table, sets up the world -- corpus or article stream,
+// substrate, storage, index service, and for a materialized world the message
+// bus and the failure/chaos injector -- builds it and feeds it through the
+// epoch engine (sim/sharded.hpp), and collects every metric of Figures 11-15
+// and Table I.
 #pragma once
 
 #include <optional>
+#include <string>
 
 #include "biblio/corpus.hpp"
+#include "common/error.hpp"
 #include "index/builder.hpp"
 #include "index/lookup.hpp"
 #include "net/retry.hpp"
@@ -114,34 +119,55 @@ struct SimulationConfig {
   /// transport.
   TransportKind transport = TransportKind::kInProcess;
 
-  /// Streaming world: articles and queries are synthesized on demand from
+  /// Streamed world: articles and queries are synthesized on demand from
   /// counter-seeded RNG streams (biblio::ArticleStream +
   /// workload::StreamingWorkload) instead of materialized vectors, so peak
-  /// RSS scales with live index state rather than workload size. Streaming
-  /// runs require the Ring substrate, the in-process transport and no churn
-  /// (see sim/sharded.hpp for why). The streamed corpus differs from
-  /// Corpus::generate's draw sequence, so streaming cells are a separate
-  /// golden universe from the paper-scale materialized cells.
+  /// RSS scales with live index state rather than workload size. A streamed
+  /// world has no message bus and requires the Ring substrate, the
+  /// in-process transport and no churn (the restriction table in
+  /// run_simulation). The streamed corpus differs from Corpus::generate's
+  /// draw sequence, so streamed cells are a separate golden universe from
+  /// the paper-scale materialized cells.
   bool streaming = false;
 
-  /// Shard-concurrent execution of a streaming world: node ids are
+  /// Shard-concurrent execution of a streamed world: node ids are
   /// partitioned across `shards` worker threads; articles and feed sessions
-  /// are partitioned round-robin; cross-shard build operations — and, for
-  /// caching policies, the feed's recorded shortcut-cache deltas — travel
-  /// through per-(worker, owner-shard) queues drained in (virtual-time, seq)
-  /// order. Results are bit-identical across shard counts (the --jobs
-  /// guarantee, one level deeper); caching feeds run in bulk-synchronous
-  /// query epochs for every shard count, including 1 (sim/sharded.hpp).
-  /// 0 or 1 = single-threaded. Values > 1 additionally require
-  /// streaming = true.
+  /// are partitioned round-robin; cross-shard build operations and the
+  /// feed's recorded shortcut-cache deltas travel through per-(worker,
+  /// owner-shard) queues drained in (virtual-time, seq) order
+  /// (sim/sharded.hpp). Results are bit-identical across shard counts (the
+  /// --jobs guarantee, one level deeper). 0 or 1 = single-threaded. Values
+  /// > 1 require streaming = true.
   std::size_t shards = 1;
 };
 
-/// Runs one complete experiment and returns its measurements.
+/// The configuration axes the restriction table in run_simulation checks.
+enum class ConfigAxis { kQueries, kShards, kSubstrate, kTransport, kChurn, kChaos, kCorpus,
+                        kReplication };
+
+const char* to_string(ConfigAxis axis);
+
+/// A configuration the engine does not run, rejected before any world is
+/// built rather than silently downgraded. Carries the offending axis.
+class UnsupportedConfig : public InvariantError {
+ public:
+  UnsupportedConfig(ConfigAxis axis, const std::string& why)
+      : InvariantError(std::string("unsupported configuration (") + to_string(axis) +
+                       "): " + why),
+        axis_(axis) {}
+
+  ConfigAxis axis() const { return axis_; }
+
+ private:
+  ConfigAxis axis_;
+};
+
+/// Runs one complete experiment and returns its measurements. Throws
+/// UnsupportedConfig for a configuration the restriction table rejects.
 ///
 /// A shared corpus can be passed in so that sweeps over schemes/policies
-/// reuse the same database (as the paper does); when absent it is generated
-/// from config.corpus.
+/// reuse the same database (as the paper does); when absent a materialized
+/// world generates it from config.corpus. Streamed worlds take none.
 SimulationResults run_simulation(const SimulationConfig& config,
                                  const biblio::Corpus* shared_corpus = nullptr);
 

@@ -53,35 +53,42 @@ const std::vector<Record>& DhtStore::records_at(const Id& node, const Id& key) c
   return it == stores_.end() ? kNoRecords : it->second.get(key);
 }
 
-StoreResult DhtStore::put(const Id& key, Record record) {
-  topology_.assert_exclusive();  // placement may create a node's store
-  const dht::LookupResult where = dht_.lookup(key);
-  const std::uint64_t request_bytes =
-      Id::kBytes + record.kind.size() + record.payload.size() + net::kMessageOverheadBytes;
+DhtStore::Placement DhtStore::placement(const Id& key) {
+  Placement where{dht_.lookup(key), {}};
   if (replication_ == 1 && failures_ == nullptr) {
-    net::active(ledger_).queries.record(request_bytes);
-    if (bus_ != nullptr) {
-      bus_->post(wire_message(net::Action::kStore, where.node, key, &record),
-                 [](const net::Message&) {});
-    }
-    stores_[where.node].put(key, std::move(record));
-    return StoreResult{where.node, where.hops};
+    where.replicas.push_back(where.route.node);
+    return where;
   }
   // PAST-style placement on the first `replication_` live candidates; the
   // publisher discovers dead nodes by timeout and skips past them.
-  std::size_t placed = 0;
-  for (const Id& replica : candidate_replicas(key)) {
-    if (placed >= replication_) break;
-    if (failures_ != nullptr && failures_->is_crashed(replica)) continue;
-    net::active(ledger_).queries.record(request_bytes);
-    if (bus_ != nullptr) {
-      bus_->post(wire_message(net::Action::kStore, replica, key, &record),
-                 [](const net::Message&) {});
-    }
-    stores_[replica].put(key, record);
-    ++placed;
+  where.replicas = candidate_replicas(key);
+  std::erase_if(where.replicas, [this](const Id& replica) {
+    return failures_ != nullptr && failures_->is_crashed(replica);
+  });
+  if (where.replicas.size() > replication_) where.replicas.resize(replication_);
+  return where;
+}
+
+void DhtStore::place(NodeStore& store, const Id& node, const Id& key, Record record) {
+  if (bus_ != nullptr) {
+    bus_->post(wire_message(net::Action::kStore, node, key, &record),
+               [](const net::Message&) {});
   }
-  return StoreResult{where.node, where.hops};
+  store.put(key, std::move(record));
+}
+
+StoreResult DhtStore::put(const Id& key, Record record) {
+  topology_.assert_exclusive();  // placement may create a node's store
+  const Placement where = placement(key);
+  const std::uint64_t request_bytes =
+      Id::kBytes + record.kind.size() + record.payload.size() + net::kMessageOverheadBytes;
+  for (std::size_t c = 0; c < where.replicas.size(); ++c) {
+    const Id& node = where.replicas[c];
+    net::active(ledger_).queries.record(request_bytes);
+    // The last copy takes the record itself.
+    place(stores_[node], node, key, c + 1 == where.replicas.size() ? std::move(record) : record);
+  }
+  return StoreResult{where.route.node, where.route.hops};
 }
 
 DhtStore::GetResult DhtStore::get(const Id& key) {

@@ -44,6 +44,21 @@ class DhtStore {
   /// candidates (PAST-style placement).
   StoreResult put(const Id& key, Record record);
 
+  /// Where a put of `key` writes: the routed lookup put() reports, and the
+  /// nodes that receive a copy, primary first. Makes exactly the substrate
+  /// calls put() makes and reads no store, so the epoch build's producers
+  /// call it concurrently on a substrate whose lookups are pure (the ring).
+  struct Placement {
+    dht::LookupResult route;
+    std::vector<Id> replicas;
+  };
+  Placement placement(const Id& key);
+
+  /// Writes one copy of `record` under `key` into `store`, the store of
+  /// `node`, and posts its kStore frame when a bus is attached: the one
+  /// write path of put() and of the epoch build's apply sub-phase.
+  void place(NodeStore& store, const Id& node, const Id& key, Record record);
+
   /// Fetches all records under `key`. The responsible node is asked first;
   /// when it has nothing (e.g. it lost its store in a crash), the remaining
   /// replicas are tried in order, one extra request each. Failed deliveries

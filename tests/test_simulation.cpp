@@ -570,6 +570,528 @@ TEST(Simulation, CachedFeedsMatchPinnedDigests) {
   EXPECT_EQ(result_digest(churn_r), kChurnDigest);
 }
 
+/// result_digest plus what only the engine cells below exercise: index and
+/// store totals, churn losses and the chaos counters. Substrate routing
+/// counters are left out: under DHTIDX_AUDIT the post-build audit's own
+/// routed lookups advance the Chord/CAN/Pastry random lookup origins, so the
+/// feed's hop counts differ between audit and normal builds.
+std::string engine_digest(const SimulationResults& r) {
+  std::string out = result_digest(r);
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "convergence_ms=%.17g\n", r.convergence_ms);
+  out += buf;
+  const auto count = [&out](const char* name, std::uint64_t value) {
+    out += std::string(name) + "=" + std::to_string(value) + "\n";
+  };
+  count("articles", r.articles);
+  count("index_bytes", r.index_bytes);
+  count("data_bytes", r.data_bytes);
+  count("index_mappings", r.index_mappings);
+  count("index_keys", r.index_keys);
+  count("mappings_lost", r.mappings_lost);
+  count("records_lost", r.records_lost);
+  count("indexed_sessions_after_churn", r.indexed_sessions_after_churn);
+  count("indexed_failed_after_churn", r.indexed_failed_after_churn);
+  count("partitioned_nodes", r.partitioned_nodes);
+  count("chaos_frames_dropped", r.chaos_frames_dropped);
+  count("chaos_frames_duplicated", r.chaos_frames_duplicated);
+  count("chaos_frames_reordered", r.chaos_frames_reordered);
+  count("chaos_frames_delayed", r.chaos_frames_delayed);
+  count("chaos_frames_corrupted", r.chaos_frames_corrupted);
+  count("bus_timeouts", r.bus_timeouts);
+  count("bus_duplicates", r.bus_duplicates);
+  count("bus_rejected", r.bus_rejected);
+  return out;
+}
+
+// One cell per kind of world the engine serves, beyond the cached ring cells
+// above: a routed substrate at replication 2 on the event queue, a cacheless
+// Pastry world, a chaos schedule, and streamed worlds at one shard (cacheless
+// flat, and LRU-multi). Captured before the materialized and streamed drivers
+// became one engine; every later change must reproduce them exactly.
+const char* const kChordR2Digest =
+    "avg_interactions=2.2496666666666667\n"
+    "normal_traffic_per_query=579.93633333333332\n"
+    "cache_traffic_per_query=180.21566666666666\n"
+    "hit_ratio=0.77700000000000002\n"
+    "first_node_hit_share=0.94680394680394675\n"
+    "avg_cached_keys_per_node=19.824999999999999\n"
+    "full_cache_fraction=0\n"
+    "empty_cache_fraction=0.10000000000000001\n"
+    "avg_regular_keys_per_node=59\n"
+    "avg_generalization_steps=0.034333333333333334\n"
+    "post_churn_success=1\n"
+    "post_churn_indexed_success=1\n"
+    "avg_interactions_after_churn=0\n"
+    "retry_backoff_ms=0\n"
+    "wire_normal_traffic_per_query=1894.8463333333334\n"
+    "wire_cache_traffic_per_query=60.601333333333336\n"
+    "event_clock_ms=13686\n"
+    "node_load_sum=2.1956666666666669\n"
+    "node_load_max=0.25600000000000001\n"
+    "max_cached_keys=98\n"
+    "non_indexed_queries=93\n"
+    "failed_lookups=0\n"
+    "rpc_failures=0\n"
+    "degraded_sessions=0\n"
+    "gave_up_sessions=0\n"
+    "unreachable_sessions=0\n"
+    "stale_shortcut_invalidations=0\n"
+    "sessions_after_churn=0\n"
+    "failed_after_churn=0\n"
+    "repair_moves=0\n"
+    "wire_messages=15270\n"
+    "ledger.queries.messages=6842\n"
+    "ledger.queries.bytes=529551\n"
+    "ledger.responses.messages=4418\n"
+    "ledger.responses.bytes=1210258\n"
+    "ledger.cache.messages=3124\n"
+    "ledger.cache.bytes=540647\n"
+    "ledger.routing.messages=0\n"
+    "ledger.routing.bytes=0\n"
+    "ledger.retries.messages=0\n"
+    "ledger.retries.bytes=0\n"
+    "ledger.maintenance.messages=0\n"
+    "ledger.maintenance.bytes=0\n"
+    "ledger.timeouts.messages=0\n"
+    "ledger.timeouts.bytes=0\n"
+    "ledger.duplicates.messages=0\n"
+    "ledger.duplicates.bytes=0\n"
+    "ledger.rejected.messages=0\n"
+    "ledger.rejected.bytes=0\n"
+    "wire.queries.messages=6842\n"
+    "wire.queries.bytes=666391\n"
+    "wire.responses.messages=6842\n"
+    "wire.responses.bytes=5018148\n"
+    "wire.cache.messages=793\n"
+    "wire.cache.bytes=181804\n"
+    "wire.routing.messages=793\n"
+    "wire.routing.bytes=44408\n"
+    "wire.retries.messages=0\n"
+    "wire.retries.bytes=0\n"
+    "wire.maintenance.messages=0\n"
+    "wire.maintenance.bytes=0\n"
+    "wire.timeouts.messages=0\n"
+    "wire.timeouts.bytes=0\n"
+    "wire.duplicates.messages=0\n"
+    "wire.duplicates.bytes=0\n"
+    "wire.rejected.messages=0\n"
+    "wire.rejected.bytes=0\n"
+    "convergence_ms=0\n"
+    "articles=300\n"
+    "index_bytes=357096\n"
+    "data_bytes=147825626\n"
+    "index_mappings=3036\n"
+    "index_keys=1760\n"
+    "mappings_lost=0\n"
+    "records_lost=0\n"
+    "indexed_sessions_after_churn=0\n"
+    "indexed_failed_after_churn=0\n"
+    "partitioned_nodes=0\n"
+    "chaos_frames_dropped=0\n"
+    "chaos_frames_duplicated=0\n"
+    "chaos_frames_reordered=0\n"
+    "chaos_frames_delayed=0\n"
+    "chaos_frames_corrupted=0\n"
+    "bus_timeouts=0\n"
+    "bus_duplicates=0\n"
+    "bus_rejected=0\n";
+const char* const kPastryDigest =
+    "avg_interactions=3.0093333333333332\n"
+    "normal_traffic_per_query=1337.4186666666667\n"
+    "cache_traffic_per_query=0\n"
+    "hit_ratio=0\n"
+    "first_node_hit_share=0\n"
+    "avg_cached_keys_per_node=0\n"
+    "full_cache_fraction=0\n"
+    "empty_cache_fraction=1\n"
+    "avg_regular_keys_per_node=29.5\n"
+    "avg_generalization_steps=0.054666666666666669\n"
+    "post_churn_success=1\n"
+    "post_churn_indexed_success=1\n"
+    "avg_interactions_after_churn=0\n"
+    "retry_backoff_ms=0\n"
+    "wire_normal_traffic_per_query=1491.0413333333333\n"
+    "wire_cache_traffic_per_query=0\n"
+    "event_clock_ms=0\n"
+    "node_load_sum=2.9073333333333338\n"
+    "node_load_max=0.31833333333333336\n"
+    "max_cached_keys=0\n"
+    "non_indexed_queries=164\n"
+    "failed_lookups=0\n"
+    "rpc_failures=0\n"
+    "degraded_sessions=0\n"
+    "gave_up_sessions=0\n"
+    "unreachable_sessions=0\n"
+    "stale_shortcut_invalidations=0\n"
+    "sessions_after_churn=0\n"
+    "failed_after_churn=0\n"
+    "repair_moves=0\n"
+    "wire_messages=18056\n"
+    "ledger.queries.messages=9028\n"
+    "ledger.queries.bytes=796157\n"
+    "ledger.responses.messages=9028\n"
+    "ledger.responses.bytes=3216099\n"
+    "ledger.cache.messages=0\n"
+    "ledger.cache.bytes=0\n"
+    "ledger.routing.messages=0\n"
+    "ledger.routing.bytes=0\n"
+    "ledger.retries.messages=0\n"
+    "ledger.retries.bytes=0\n"
+    "ledger.maintenance.messages=0\n"
+    "ledger.maintenance.bytes=0\n"
+    "ledger.timeouts.messages=0\n"
+    "ledger.timeouts.bytes=0\n"
+    "ledger.duplicates.messages=0\n"
+    "ledger.duplicates.bytes=0\n"
+    "ledger.rejected.messages=0\n"
+    "ledger.rejected.bytes=0\n"
+    "wire.queries.messages=9028\n"
+    "wire.queries.bytes=976717\n"
+    "wire.responses.messages=9028\n"
+    "wire.responses.bytes=3496407\n"
+    "wire.cache.messages=0\n"
+    "wire.cache.bytes=0\n"
+    "wire.routing.messages=0\n"
+    "wire.routing.bytes=0\n"
+    "wire.retries.messages=0\n"
+    "wire.retries.bytes=0\n"
+    "wire.maintenance.messages=0\n"
+    "wire.maintenance.bytes=0\n"
+    "wire.timeouts.messages=0\n"
+    "wire.timeouts.bytes=0\n"
+    "wire.duplicates.messages=0\n"
+    "wire.duplicates.bytes=0\n"
+    "wire.rejected.messages=0\n"
+    "wire.rejected.bytes=0\n"
+    "convergence_ms=0\n"
+    "articles=300\n"
+    "index_bytes=178548\n"
+    "data_bytes=73912813\n"
+    "index_mappings=1518\n"
+    "index_keys=880\n"
+    "mappings_lost=0\n"
+    "records_lost=0\n"
+    "indexed_sessions_after_churn=0\n"
+    "indexed_failed_after_churn=0\n"
+    "partitioned_nodes=0\n"
+    "chaos_frames_dropped=0\n"
+    "chaos_frames_duplicated=0\n"
+    "chaos_frames_reordered=0\n"
+    "chaos_frames_delayed=0\n"
+    "chaos_frames_corrupted=0\n"
+    "bus_timeouts=0\n"
+    "bus_duplicates=0\n"
+    "bus_rejected=0\n";
+const char* const kChaosDigest =
+    "avg_interactions=2.2663333333333333\n"
+    "normal_traffic_per_query=593.26599999999996\n"
+    "cache_traffic_per_query=181.24366666666666\n"
+    "hit_ratio=0.76333333333333331\n"
+    "first_node_hit_share=0.94323144104803491\n"
+    "avg_cached_keys_per_node=21\n"
+    "full_cache_fraction=0\n"
+    "empty_cache_fraction=0.10000000000000001\n"
+    "avg_regular_keys_per_node=59\n"
+    "avg_generalization_steps=0.034333333333333334\n"
+    "post_churn_success=1\n"
+    "post_churn_indexed_success=1\n"
+    "avg_interactions_after_churn=0\n"
+    "retry_backoff_ms=51800\n"
+    "wire_normal_traffic_per_query=1877.8433333333332\n"
+    "wire_cache_traffic_per_query=64.198999999999998\n"
+    "event_clock_ms=76125.024417551685\n"
+    "node_load_sum=2.2063333333333333\n"
+    "node_load_max=0.24166666666666667\n"
+    "max_cached_keys=84\n"
+    "non_indexed_queries=93\n"
+    "failed_lookups=0\n"
+    "rpc_failures=998\n"
+    "degraded_sessions=445\n"
+    "gave_up_sessions=0\n"
+    "unreachable_sessions=0\n"
+    "stale_shortcut_invalidations=0\n"
+    "sessions_after_churn=0\n"
+    "failed_after_churn=0\n"
+    "repair_moves=0\n"
+    "wire_messages=17596\n"
+    "ledger.queries.messages=6879\n"
+    "ledger.queries.bytes=534281\n"
+    "ledger.responses.messages=4509\n"
+    "ledger.responses.bytes=1245517\n"
+    "ledger.cache.messages=3130\n"
+    "ledger.cache.bytes=543731\n"
+    "ledger.routing.messages=0\n"
+    "ledger.routing.bytes=0\n"
+    "ledger.retries.messages=998\n"
+    "ledger.retries.bytes=76322\n"
+    "ledger.maintenance.messages=0\n"
+    "ledger.maintenance.bytes=0\n"
+    "ledger.timeouts.messages=0\n"
+    "ledger.timeouts.bytes=0\n"
+    "ledger.duplicates.messages=0\n"
+    "ledger.duplicates.bytes=0\n"
+    "ledger.rejected.messages=0\n"
+    "ledger.rejected.bytes=0\n"
+    "wire.queries.messages=6879\n"
+    "wire.queries.bytes=671861\n"
+    "wire.responses.messages=6879\n"
+    "wire.responses.bytes=4961669\n"
+    "wire.cache.messages=840\n"
+    "wire.cache.bytes=192597\n"
+    "wire.routing.messages=840\n"
+    "wire.routing.bytes=47040\n"
+    "wire.retries.messages=998\n"
+    "wire.retries.bytes=96282\n"
+    "wire.maintenance.messages=0\n"
+    "wire.maintenance.bytes=0\n"
+    "wire.timeouts.messages=540\n"
+    "wire.timeouts.bytes=206335\n"
+    "wire.duplicates.messages=468\n"
+    "wire.duplicates.bytes=157968\n"
+    "wire.rejected.messages=152\n"
+    "wire.rejected.bytes=41143\n"
+    "convergence_ms=3402\n"
+    "articles=300\n"
+    "index_bytes=357096\n"
+    "data_bytes=147825626\n"
+    "index_mappings=3036\n"
+    "index_keys=1760\n"
+    "mappings_lost=0\n"
+    "records_lost=0\n"
+    "indexed_sessions_after_churn=0\n"
+    "indexed_failed_after_churn=0\n"
+    "partitioned_nodes=4\n"
+    "chaos_frames_dropped=163\n"
+    "chaos_frames_duplicated=230\n"
+    "chaos_frames_reordered=814\n"
+    "chaos_frames_delayed=0\n"
+    "chaos_frames_corrupted=152\n"
+    "bus_timeouts=540\n"
+    "bus_duplicates=468\n"
+    "bus_rejected=152\n";
+const char* const kStreamedFlatDigest =
+    "avg_interactions=2.0433333333333334\n"
+    "normal_traffic_per_query=1868.7376666666667\n"
+    "cache_traffic_per_query=0\n"
+    "hit_ratio=0\n"
+    "first_node_hit_share=0\n"
+    "avg_cached_keys_per_node=0\n"
+    "full_cache_fraction=0\n"
+    "empty_cache_fraction=1\n"
+    "avg_regular_keys_per_node=29.300000000000001\n"
+    "avg_generalization_steps=0.043333333333333335\n"
+    "post_churn_success=1\n"
+    "post_churn_indexed_success=1\n"
+    "avg_interactions_after_churn=0\n"
+    "retry_backoff_ms=0\n"
+    "wire_normal_traffic_per_query=0\n"
+    "wire_cache_traffic_per_query=0\n"
+    "event_clock_ms=0\n"
+    "node_load_sum=2.0176666666666669\n"
+    "node_load_max=0.23100000000000001\n"
+    "max_cached_keys=0\n"
+    "non_indexed_queries=130\n"
+    "failed_lookups=0\n"
+    "rpc_failures=0\n"
+    "degraded_sessions=0\n"
+    "gave_up_sessions=0\n"
+    "unreachable_sessions=0\n"
+    "stale_shortcut_invalidations=0\n"
+    "sessions_after_churn=0\n"
+    "failed_after_churn=0\n"
+    "repair_moves=0\n"
+    "wire_messages=0\n"
+    "ledger.queries.messages=6130\n"
+    "ledger.queries.bytes=451010\n"
+    "ledger.responses.messages=6130\n"
+    "ledger.responses.bytes=5155203\n"
+    "ledger.cache.messages=0\n"
+    "ledger.cache.bytes=0\n"
+    "ledger.routing.messages=0\n"
+    "ledger.routing.bytes=0\n"
+    "ledger.retries.messages=0\n"
+    "ledger.retries.bytes=0\n"
+    "ledger.maintenance.messages=0\n"
+    "ledger.maintenance.bytes=0\n"
+    "ledger.timeouts.messages=0\n"
+    "ledger.timeouts.bytes=0\n"
+    "ledger.duplicates.messages=0\n"
+    "ledger.duplicates.bytes=0\n"
+    "ledger.rejected.messages=0\n"
+    "ledger.rejected.bytes=0\n"
+    "wire.queries.messages=0\n"
+    "wire.queries.bytes=0\n"
+    "wire.responses.messages=0\n"
+    "wire.responses.bytes=0\n"
+    "wire.cache.messages=0\n"
+    "wire.cache.bytes=0\n"
+    "wire.routing.messages=0\n"
+    "wire.routing.bytes=0\n"
+    "wire.retries.messages=0\n"
+    "wire.retries.bytes=0\n"
+    "wire.maintenance.messages=0\n"
+    "wire.maintenance.bytes=0\n"
+    "wire.timeouts.messages=0\n"
+    "wire.timeouts.bytes=0\n"
+    "wire.duplicates.messages=0\n"
+    "wire.duplicates.bytes=0\n"
+    "wire.rejected.messages=0\n"
+    "wire.rejected.bytes=0\n"
+    "convergence_ms=0\n"
+    "articles=300\n"
+    "index_bytes=275166\n"
+    "data_bytes=76209883\n"
+    "index_mappings=1800\n"
+    "index_keys=872\n"
+    "mappings_lost=0\n"
+    "records_lost=0\n"
+    "indexed_sessions_after_churn=0\n"
+    "indexed_failed_after_churn=0\n"
+    "partitioned_nodes=0\n"
+    "chaos_frames_dropped=0\n"
+    "chaos_frames_duplicated=0\n"
+    "chaos_frames_reordered=0\n"
+    "chaos_frames_delayed=0\n"
+    "chaos_frames_corrupted=0\n"
+    "bus_timeouts=0\n"
+    "bus_duplicates=0\n"
+    "bus_rejected=0\n";
+const char* const kStreamedLruMultiDigest =
+    "avg_interactions=2.7966666666666669\n"
+    "normal_traffic_per_query=1348.3983333333333\n"
+    "cache_traffic_per_query=304.27566666666667\n"
+    "hit_ratio=0.32166666666666666\n"
+    "first_node_hit_share=0.63108808290155438\n"
+    "avg_cached_keys_per_node=4.5499999999999998\n"
+    "full_cache_fraction=0.82499999999999996\n"
+    "empty_cache_fraction=0.025000000000000001\n"
+    "avg_regular_keys_per_node=29.300000000000001\n"
+    "avg_generalization_steps=0.042666666666666665\n"
+    "post_churn_success=1\n"
+    "post_churn_indexed_success=1\n"
+    "avg_interactions_after_churn=0\n"
+    "retry_backoff_ms=0\n"
+    "wire_normal_traffic_per_query=0\n"
+    "wire_cache_traffic_per_query=0\n"
+    "event_clock_ms=0\n"
+    "node_load_sum=2.7366666666666655\n"
+    "node_load_max=0.252\n"
+    "max_cached_keys=5\n"
+    "non_indexed_queries=128\n"
+    "failed_lookups=0\n"
+    "rpc_failures=0\n"
+    "degraded_sessions=0\n"
+    "gave_up_sessions=0\n"
+    "unreachable_sessions=0\n"
+    "stale_shortcut_invalidations=0\n"
+    "sessions_after_churn=0\n"
+    "failed_after_churn=0\n"
+    "repair_moves=0\n"
+    "wire_messages=0\n"
+    "ledger.queries.messages=8390\n"
+    "ledger.queries.bytes=721112\n"
+    "ledger.responses.messages=7425\n"
+    "ledger.responses.bytes=3324083\n"
+    "ledger.cache.messages=4373\n"
+    "ledger.cache.bytes=912827\n"
+    "ledger.routing.messages=0\n"
+    "ledger.routing.bytes=0\n"
+    "ledger.retries.messages=0\n"
+    "ledger.retries.bytes=0\n"
+    "ledger.maintenance.messages=0\n"
+    "ledger.maintenance.bytes=0\n"
+    "ledger.timeouts.messages=0\n"
+    "ledger.timeouts.bytes=0\n"
+    "ledger.duplicates.messages=0\n"
+    "ledger.duplicates.bytes=0\n"
+    "ledger.rejected.messages=0\n"
+    "ledger.rejected.bytes=0\n"
+    "wire.queries.messages=0\n"
+    "wire.queries.bytes=0\n"
+    "wire.responses.messages=0\n"
+    "wire.responses.bytes=0\n"
+    "wire.cache.messages=0\n"
+    "wire.cache.bytes=0\n"
+    "wire.routing.messages=0\n"
+    "wire.routing.bytes=0\n"
+    "wire.retries.messages=0\n"
+    "wire.retries.bytes=0\n"
+    "wire.maintenance.messages=0\n"
+    "wire.maintenance.bytes=0\n"
+    "wire.timeouts.messages=0\n"
+    "wire.timeouts.bytes=0\n"
+    "wire.duplicates.messages=0\n"
+    "wire.duplicates.bytes=0\n"
+    "wire.rejected.messages=0\n"
+    "wire.rejected.bytes=0\n"
+    "convergence_ms=0\n"
+    "articles=300\n"
+    "index_bytes=188198\n"
+    "data_bytes=76209883\n"
+    "index_mappings=1512\n"
+    "index_keys=872\n"
+    "mappings_lost=0\n"
+    "records_lost=0\n"
+    "indexed_sessions_after_churn=0\n"
+    "indexed_failed_after_churn=0\n"
+    "partitioned_nodes=0\n"
+    "chaos_frames_dropped=0\n"
+    "chaos_frames_duplicated=0\n"
+    "chaos_frames_reordered=0\n"
+    "chaos_frames_delayed=0\n"
+    "chaos_frames_corrupted=0\n"
+    "bus_timeouts=0\n"
+    "bus_duplicates=0\n"
+    "bus_rejected=0\n";
+
+TEST(Simulation, EngineCellsMatchPinnedDigests) {
+  SimulationConfig base = small_config(SchemeKind::kSimple, CachePolicy::kNone);
+  base.nodes = 40;
+  base.queries = 3000;
+  base.corpus.articles = 300;
+  base.corpus.authors = 100;
+  base.corpus.conferences = 12;
+
+  SimulationConfig chord_r2 = base;
+  chord_r2.substrate = Substrate::kChord;
+  chord_r2.replication = 2;
+  chord_r2.policy = CachePolicy::kSingle;
+  chord_r2.transport = TransportKind::kEventQueue;
+  SimulationConfig pastry = base;
+  pastry.substrate = Substrate::kPastry;
+  SimulationConfig chaos = base;
+  chaos.policy = CachePolicy::kSingle;
+  chaos.replication = 2;
+  chaos.transport = TransportKind::kEventQueue;
+  chaos.chaos.drop_probability = 0.02;
+  chaos.chaos.duplicate_probability = 0.03;
+  chaos.chaos.corrupt_probability = 0.02;
+  chaos.chaos.reorder_probability = 0.10;
+  chaos.chaos.partition_fraction = 0.10;
+  SimulationConfig streamed_flat = base;
+  streamed_flat.streaming = true;
+  streamed_flat.scheme = SchemeKind::kFlat;
+  SimulationConfig streamed_lru_multi = base;
+  streamed_lru_multi.streaming = true;
+  streamed_lru_multi.policy = CachePolicy::kLruMulti;
+  streamed_lru_multi.cache_capacity = 5;
+
+  const SimulationResults chord_r = run_simulation(chord_r2);
+  const SimulationResults chaos_r = run_simulation(chaos);
+  const SimulationResults lru_multi_r = run_simulation(streamed_lru_multi);
+  // The cells exercise what they are meant to.
+  EXPECT_GT(chord_r.routing_bytes, 0u);
+  EXPECT_GT(chaos_r.chaos_frames_dropped, 0u);
+  EXPECT_GT(lru_multi_r.full_cache_fraction, 0.0);
+
+  EXPECT_EQ(engine_digest(chord_r), kChordR2Digest);
+  EXPECT_EQ(engine_digest(run_simulation(pastry)), kPastryDigest);
+  EXPECT_EQ(engine_digest(chaos_r), kChaosDigest);
+  EXPECT_EQ(engine_digest(run_simulation(streamed_flat)), kStreamedFlatDigest);
+  EXPECT_EQ(engine_digest(lru_multi_r), kStreamedLruMultiDigest);
+}
+
 TEST(Simulation, CustomStructureWeights) {
   SimulationConfig config = small_config(SchemeKind::kSimple, CachePolicy::kNone);
   config.queries = 500;
