@@ -31,7 +31,7 @@ void show_results(const std::vector<query::Query>& results) {
   }
   const std::size_t shown = std::min<std::size_t>(results.size(), 8);
   for (std::size_t i = 0; i < shown; ++i) {
-    std::printf("  %s\n", results[i].canonical().c_str());
+    std::printf("  %s\n", std::string{results[i].canonical()}.c_str());
   }
   if (results.size() > shown) {
     std::printf("  ... and %zu more\n", results.size() - shown);
@@ -95,9 +95,9 @@ int main(int argc, char** argv) {
     // Scripted session: author, venue+year, title, an author-initial browse,
     // a misspelled author (typo correction), and a miss.
     const auto& a = corpus.article(0);
-    queries.push_back(a.author_query().canonical());
-    queries.push_back(a.conference_year_query().canonical());
-    queries.push_back(a.title_query().canonical());
+    queries.push_back(std::string{a.author_query().canonical()});
+    queries.push_back(std::string{a.conference_year_query().canonical()});
+    queries.push_back(std::string{a.title_query().canonical()});
     queries.push_back("/article[author/last^=" + a.last_name.substr(0, 1) + "]");
     std::string typo = a.last_name;
     typo[typo.size() / 2] = typo[typo.size() / 2] == 'x' ? 'y' : 'x';
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
     const auto result = fuzzy.search(q);
     if (result.corrected) {
       std::printf("  (no exact match; did you mean %s?)\n",
-                  result.used_query.canonical().c_str());
+                  std::string{result.used_query.canonical()}.c_str());
     }
     show_results(result.results);
     std::printf("\n");

@@ -142,7 +142,7 @@ int cmd_query(const Args& args) {
           const query::Query msd =
               query::Query::most_specific(xml::parse(record.payload));
           for (const auto& c : msd.constraints()) {
-            if (c.value && !c.value_is_prefix) dictionary.add(c.path_string(), *c.value);
+            if (c.value && !c.value_is_prefix) dictionary.add(std::string{c.path}, *c.value);
           }
         } catch (const ParseError&) {
         }
@@ -160,13 +160,13 @@ int cmd_query(const Args& args) {
       if (args.has("fuzzy")) {
         const auto result = fuzzy.search(q);
         if (result.corrected) {
-          std::printf("  (did you mean %s?)\n", result.used_query.canonical().c_str());
+          std::printf("  (did you mean %s?)\n", std::string{result.used_query.canonical()}.c_str());
         }
         results = result.results;
       } else {
         results = engine.search_all(q);
       }
-      for (const auto& msd : results) std::printf("  %s\n", msd.canonical().c_str());
+      for (const auto& msd : results) std::printf("  %s\n", std::string{msd.canonical()}.c_str());
       std::printf("  (%zu results)\n", results.size());
     } catch (const Error& e) {
       std::printf("  error: %s\n", e.what());

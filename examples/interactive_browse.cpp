@@ -22,7 +22,7 @@ using namespace dhtidx;
 namespace {
 
 void show(const index::InteractiveSession& session) {
-  std::printf("@ %s   (%d interactions)\n", session.current().canonical().c_str(),
+  std::printf("@ %s   (%d interactions)\n", std::string{session.current().canonical()}.c_str(),
               session.interactions());
   if (session.at_file()) {
     std::printf("  => FILE: %s\n", session.fetch().front().kind.c_str());
@@ -33,7 +33,7 @@ void show(const index::InteractiveSession& session) {
     return;
   }
   for (std::size_t i = 0; i < session.options().size(); ++i) {
-    std::printf("  [%zu] %s\n", i, session.options()[i].canonical().c_str());
+    std::printf("  [%zu] %s\n", i, std::string{session.options()[i].canonical()}.c_str());
   }
 }
 

@@ -73,12 +73,12 @@ int main() {
 
   const auto davis = engine.search_all(query::Query::parse("/track[artist='Miles Davis']"));
   std::printf("Tracks by Miles Davis: %zu\n", davis.size());
-  for (const auto& msd : davis) std::printf("  %s\n", msd.canonical().c_str());
+  for (const auto& msd : davis) std::printf("  %s\n", std::string{msd.canonical()}.c_str());
 
   const auto jazz59 = engine.search_all(
       query::Query::parse("/track[genre=jazz][year=1959]"));
   std::printf("\nJazz recorded in 1959: %zu\n", jazz59.size());
-  for (const auto& msd : jazz59) std::printf("  %s\n", msd.canonical().c_str());
+  for (const auto& msd : jazz59) std::printf("  %s\n", std::string{msd.canonical()}.c_str());
 
   // Short-circuit a chart-topper: genre query jumps straight to the MSD.
   const query::Query sinnerman_msd = query::Query::most_specific(tracks[4]);

@@ -40,14 +40,14 @@ int main() {
 
   // 3. A user with partial information: "articles by John Smith".
   const query::Query broad = query::Query::parse("/article/author[first/John][last/Smith]");
-  std::printf("Broad query: %s\n", broad.canonical().c_str());
+  std::printf("Broad query: %s\n", std::string{broad.canonical()}.c_str());
 
   index::LookupEngine engine{index, storage, {index::CachePolicy::kSingle}};
 
   // 3a. Automated mode: find everything that matches.
   const auto all = engine.search_all(broad);
   std::printf("search_all found %zu matching descriptors:\n", all.size());
-  for (const auto& msd : all) std::printf("  %s\n", msd.canonical().c_str());
+  for (const auto& msd : all) std::printf("  %s\n", std::string{msd.canonical()}.c_str());
 
   // 3b. Directed mode: walk the index chain to one specific article.
   const query::Query target = query::Query::most_specific(xml::parse(descriptors[0]));

@@ -21,8 +21,11 @@ namespace {
 
 constexpr char kSep = '\x1f';
 
-std::string mapping_fact(const std::string& source, const std::string& target) {
-  return source + kSep + target;
+std::string mapping_fact(std::string_view source, std::string_view target) {
+  std::string fact{source};
+  fact += kSep;
+  fact += target;
+  return fact;
 }
 
 std::string record_fact(const Id& key, const storage::Record& record) {
@@ -118,7 +121,7 @@ const std::vector<Auditor::StoredMsd>& Auditor::stored_msds() {
         if (record.kind.rfind("file:", 0) != 0) continue;
         try {
           query::Query msd = query::Query::most_specific(xml::parse(record.payload));
-          if (seen.insert(msd.canonical()).second) {
+          if (seen.insert(std::string{msd.canonical()}).second) {
             stored_msds_->push_back(StoredMsd{std::move(msd), key});
           }
         } catch (const ParseError&) {
@@ -141,17 +144,17 @@ void Auditor::check_covering(Report& report) {
       for (const index::IndexNodeState::TargetRef& ref : targets) {
         ++section.checked;
         if (!source->covers(*ref.target)) {
-          add_violation(report, Invariant::kCovering, source->canonical(),
+          add_violation(report, Invariant::kCovering, std::string{source->canonical()},
                         "stored mapping does not cover its target '" +
-                            ref.target->canonical() + "' (node " + node.brief() + ")");
+                            std::string{ref.target->canonical()} + "' (node " + node.brief() + ")");
         }
       }
     }
     for (const auto& [source, target] : state.cache().entries()) {
       ++section.checked;
       if (!source->covers(*target)) {
-        add_violation(report, Invariant::kCovering, source->canonical(),
-                      "shortcut does not cover its target '" + target->canonical() +
+        add_violation(report, Invariant::kCovering, std::string{source->canonical()},
+                      "shortcut does not cover its target '" + std::string{target->canonical()} +
                           "' (node " + node.brief() + ")");
       }
     }
@@ -172,21 +175,21 @@ void Auditor::check_reachability(Report& report) {
   using TargetRefs = index::IndexNodeState::TargetList;
   std::unordered_map<std::string, const TargetRefs*> targets_memo;
   const auto targets_of = [&](const query::Query& q) -> const TargetRefs* {
-    const auto memo = targets_memo.find(q.canonical());
+    const auto memo = targets_memo.find(std::string{q.canonical()});
     if (memo != targets_memo.end()) return memo->second;
     const Id node = dht_.lookup(q.key()).node;
     const auto state = service_.states().find(node);
     const index::IndexNodeState::SourceEntry* entry =
         state == service_.states().end() ? nullptr : state->second.entry_of(q);
     const TargetRefs* targets = entry == nullptr ? nullptr : &entry->targets;
-    targets_memo.emplace(q.canonical(), targets);
+    targets_memo.emplace(std::string{q.canonical()}, targets);
     return targets;
   };
 
   // Depth-bounded DFS from `from` toward `msd` along covering mappings.
   const auto reaches = [&](const query::Query& from, const query::Query& msd) {
     std::vector<std::pair<query::Query, int>> frontier{{from, 0}};
-    std::unordered_set<std::string> visited{from.canonical()};
+    std::unordered_set<std::string> visited{std::string{from.canonical()}};
     while (!frontier.empty()) {
       auto [q, depth] = std::move(frontier.back());
       frontier.pop_back();
@@ -197,7 +200,7 @@ void Auditor::check_reachability(Report& report) {
         const query::Query& t = *ref.target;
         if (t.canonical() == msd.canonical()) return true;
         if (!t.covers(msd)) continue;
-        if (visited.insert(t.canonical()).second) frontier.emplace_back(t, depth + 1);
+        if (visited.insert(std::string{t.canonical()}).second) frontier.emplace_back(t, depth + 1);
       }
     }
     return false;
@@ -206,11 +209,11 @@ void Auditor::check_reachability(Report& report) {
   for (const StoredMsd& stored : stored_msds()) {
     std::unordered_set<std::string> entry_queries;
     for (const index::Mapping& m : options_.scheme->mappings_for(stored.msd)) {
-      if (!entry_queries.insert(m.source.canonical()).second) continue;
+      if (!entry_queries.insert(std::string{m.source.canonical()}).second) continue;
       ++section.checked;
       if (!reaches(m.source, stored.msd)) {
-        add_violation(report, Invariant::kReachability, stored.msd.canonical(),
-                      "not reachable from entry query '" + m.source.canonical() + "'");
+        add_violation(report, Invariant::kReachability, std::string{stored.msd.canonical()},
+                      "not reachable from entry query '" + std::string{m.source.canonical()} + "'");
       }
     }
   }
@@ -225,10 +228,10 @@ void Auditor::check_acyclicity(Report& report) {
   std::map<std::string, std::vector<std::string>> graph;
   for (const auto& [node, state] : service_.states()) {
     for (const auto& [source, targets] : state.entries()) {
-      auto& out = graph[source->canonical()];
+      auto& out = graph[std::string{source->canonical()}];
       for (const index::IndexNodeState::TargetRef& ref : targets) {
         ++section.checked;
-        out.push_back(ref.target->canonical());
+        out.push_back(std::string{ref.target->canonical()});
       }
     }
   }
@@ -276,7 +279,7 @@ void Auditor::check_placement(Report& report) {
   for (const auto& [node, state] : service_.states()) {
     for (const auto& [source, targets] : state.entries()) {
       ++section.checked;
-      const std::string& canonical = source->canonical();
+      const std::string canonical{source->canonical()};
       auto memo = replica_memo.find(canonical);
       if (memo == replica_memo.end()) {
         memo = replica_memo
@@ -338,7 +341,7 @@ void Auditor::check_cache_coherence(Report& report) {
   SectionStats& section = report.section(Invariant::kCacheCoherence);
 
   std::unordered_set<std::string> stored;
-  for (const StoredMsd& s : stored_msds()) stored.insert(s.msd.canonical());
+  for (const StoredMsd& s : stored_msds()) stored.insert(std::string{s.msd.canonical()});
 
   for (const auto& [node, state] : service_.states()) {
     const index::ShortcutCache& cache = state.cache();
@@ -359,13 +362,13 @@ void Auditor::check_cache_coherence(Report& report) {
     std::map<std::string, const query::Query*> source_of;
     for (const auto& [source, target] : entries) {
       ++section.checked;
-      if (!stored.contains(target->canonical())) {
-        add_violation(report, Invariant::kCacheCoherence, source->canonical(),
+      if (!stored.contains(std::string{target->canonical()})) {
+        add_violation(report, Invariant::kCacheCoherence, std::string{source->canonical()},
                       "shortcut on node " + node.brief() + " points at '" +
-                          target->canonical() + "' which is not stored");
+                          std::string{target->canonical()} + "' which is not stored");
       }
-      expected[source->canonical()].push_back(target);
-      source_of.emplace(source->canonical(), source);
+      expected[std::string{source->canonical()}].push_back(target);
+      source_of.emplace(std::string{source->canonical()}, source);
     }
 
     ++section.checked;
@@ -476,7 +479,7 @@ void Auditor::check_replica_consistency(Report& report) {
   std::unordered_map<std::string, std::vector<Id>> replica_memo;
   for (const auto& [fact_key, fact] : facts) {
     ++section.checked;
-    const std::string canonical = fact.source->canonical();
+    const std::string canonical{fact.source->canonical()};
     auto memo = replica_memo.find(canonical);
     if (memo == replica_memo.end()) {
       memo = replica_memo
@@ -494,7 +497,7 @@ void Auditor::check_replica_consistency(Report& report) {
                            : state->refresh_stamp(*fact.source, *fact.target);
       if (!stamp) {
         add_violation(report, Invariant::kReplicaConsistency, canonical,
-                      "mapping to '" + fact.target->canonical() +
+                      "mapping to '" + std::string{fact.target->canonical()} +
                           "' missing on live replica " + replica.brief());
         continue;
       }
@@ -503,7 +506,7 @@ void Auditor::check_replica_consistency(Report& report) {
     }
     if (mismatch) {
       add_violation(report, Invariant::kReplicaConsistency, canonical,
-                    "refresh stamps of the mapping to '" + fact.target->canonical() +
+                    "refresh stamps of the mapping to '" + std::string{fact.target->canonical()} +
                         "' differ across live replicas");
     }
   }
@@ -609,7 +612,7 @@ void Auditor::check_convergence(Report& report) {
   for (const auto& [node, state] : service_.states()) {
     for (const auto& [source, target] : state.cache().entries()) {
       ++section.checked;
-      const std::string& canonical = target->canonical();
+      const std::string canonical{target->canonical()};
       auto memo = live_memo.find(canonical);
       if (memo == live_memo.end()) {
         bool live = false;
@@ -624,7 +627,7 @@ void Auditor::check_convergence(Report& report) {
         memo = live_memo.emplace(canonical, live).first;
       }
       if (!memo->second) {
-        add_violation(report, Invariant::kConvergence, source->canonical(),
+        add_violation(report, Invariant::kConvergence, std::string{source->canonical()},
                       "shortcut on node " + node.brief() + " routes to '" +
                           canonical + "' outside its healed replica set");
       }

@@ -22,59 +22,46 @@ xml::Element Article::descriptor() const {
 query::Query Article::msd() const { return Query::most_specific(descriptor()); }
 
 query::Query Article::author_query() const {
-  Query q{"article"};
-  q.add_field("author/first", first_name);
-  q.add_field("author/last", last_name);
-  return q;
+  return Query{"article", {{"author/first", first_name}, {"author/last", last_name}}};
 }
 
-query::Query Article::title_query() const {
-  Query q{"article"};
-  q.add_field("title", title);
-  return q;
-}
+query::Query Article::title_query() const { return Query{"article", {{"title", title}}}; }
 
 query::Query Article::conference_query() const {
-  Query q{"article"};
-  q.add_field("conf", conference);
-  return q;
+  return Query{"article", {{"conf", conference}}};
 }
 
 query::Query Article::year_query() const {
-  Query q{"article"};
-  q.add_field("year", std::to_string(year));
-  return q;
+  return Query{"article", {{"year", std::to_string(year)}}};
 }
 
 query::Query Article::author_title_query() const {
-  Query q = author_query();
-  q.add_field("title", title);
-  return q;
+  return Query{"article",
+               {{"author/first", first_name}, {"author/last", last_name}, {"title", title}}};
 }
 
 query::Query Article::author_year_query() const {
-  Query q = author_query();
-  q.add_field("year", std::to_string(year));
-  return q;
+  return Query{"article",
+               {{"author/first", first_name},
+                {"author/last", last_name},
+                {"year", std::to_string(year)}}};
 }
 
 query::Query Article::conference_year_query() const {
-  Query q{"article"};
-  q.add_field("conf", conference);
-  q.add_field("year", std::to_string(year));
-  return q;
+  return Query{"article", {{"conf", conference}, {"year", std::to_string(year)}}};
 }
 
 query::Query Article::author_conference_query() const {
-  Query q = author_query();
-  q.add_field("conf", conference);
-  return q;
+  return Query{"article",
+               {{"author/first", first_name}, {"author/last", last_name}, {"conf", conference}}};
 }
 
 query::Query Article::author_conference_year_query() const {
-  Query q = author_conference_query();
-  q.add_field("year", std::to_string(year));
-  return q;
+  return Query{"article",
+               {{"author/first", first_name},
+                {"author/last", last_name},
+                {"conf", conference},
+                {"year", std::to_string(year)}}};
 }
 
 Article article_from_descriptor(const xml::Element& descriptor) {

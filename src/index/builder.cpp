@@ -9,7 +9,7 @@ namespace dhtidx::index {
 
 const std::vector<IndexBuilder::InternedMapping>& IndexBuilder::plan_for(
     const query::Query& msd) {
-  const auto it = plans_.find(msd.canonical());
+  const auto it = plans_.find(std::string{msd.canonical()});
   if (it != plans_.end()) return it->second;
   query::QueryInterner& interner = service_.interner();
   std::vector<Mapping> raw = scheme_.mappings_for(msd);
@@ -19,7 +19,7 @@ const std::vector<IndexBuilder::InternedMapping>& IndexBuilder::plan_for(
     plan.emplace_back(interner.intern(std::move(m.source)),
                       interner.intern(std::move(m.target)));
   }
-  return plans_.emplace(msd.canonical(), std::move(plan)).first->second;
+  return plans_.emplace(std::string{msd.canonical()}, std::move(plan)).first->second;
 }
 
 void IndexBuilder::index_file(const xml::Element& descriptor, const std::string& file_name,
@@ -39,8 +39,8 @@ void IndexBuilder::index_file(const xml::Element& descriptor, const std::string&
     ++inserted;
   }
   if (dictionary_ != nullptr) {
-    for (const query::Constraint& c : msd.constraints()) {
-      if (c.value && !c.value_is_prefix) dictionary_->add(c.path_string(), *c.value);
+    for (const query::ConstraintView c : msd.constraints()) {
+      if (c.value && !c.value_is_prefix) dictionary_->add(std::string{c.path}, *c.value);
     }
   }
   if (stats != nullptr) {

@@ -116,13 +116,13 @@ bool ShortcutCache::erase_interned(const query::Query* source,
   const auto bucket_it = by_source_.find(source);
   if (bucket_it == by_source_.end()) {
     throw InvariantError("shortcut cache: erasing entry with no source bucket for " +
-                         source->canonical());
+                         std::string{source->canonical()});
   }
   auto& bucket = bucket_it->second;
   const auto pos = std::find(bucket.begin(), bucket.end(), entry_it);
   if (pos == bucket.end()) {
     throw InvariantError("shortcut cache: erased entry absent from its bucket for " +
-                         source->canonical());
+                         std::string{source->canonical()});
   }
   bucket.erase(pos);
   if (bucket.empty()) by_source_.erase(bucket_it);
@@ -136,13 +136,13 @@ void ShortcutCache::promote_in_bucket(const query::Query* source,
   const auto it = by_source_.find(source);
   if (it == by_source_.end()) {
     throw InvariantError("shortcut cache: source bucket missing for " +
-                         source->canonical());
+                         std::string{source->canonical()});
   }
   auto& bucket = it->second;
   const auto pos = std::find(bucket.begin(), bucket.end(), entry_it);
   if (pos == bucket.end()) {
     throw InvariantError("shortcut cache: entry missing from bucket for " +
-                         source->canonical());
+                         std::string{source->canonical()});
   }
   std::rotate(bucket.begin(), pos, std::next(pos));
 }
@@ -159,13 +159,13 @@ void ShortcutCache::evict_lru() {
   const auto bucket_it = by_source_.find(source);
   if (bucket_it == by_source_.end()) {
     throw InvariantError("shortcut cache: evicting entry with no source bucket for " +
-                         source->canonical());
+                         std::string{source->canonical()});
   }
   auto& bucket = bucket_it->second;
   const auto pos = std::find(bucket.begin(), bucket.end(), victim);
   if (pos == bucket.end()) {
     throw InvariantError("shortcut cache: evicted entry absent from its bucket for " +
-                         source->canonical());
+                         std::string{source->canonical()});
   }
   bucket.erase(pos);
   if (bucket.empty()) by_source_.erase(bucket_it);

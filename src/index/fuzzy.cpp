@@ -118,13 +118,14 @@ std::vector<query::Query> FuzzyResolver::corrections(const query::Query& q,
   };
   std::vector<std::vector<Option>> options;  // one list per constraint
   bool any_misspelled = false;
-  for (const query::Constraint& c : q.constraints()) {
+  for (const query::ConstraintView c : q.constraints()) {
+    const std::string field{c.path};
     std::vector<Option> constraint_options;
-    if (!c.value || c.value_is_prefix || dictionary_.known(c.path_string(), *c.value)) {
-      constraint_options.push_back(Option{c.value.value_or(""), 0});
+    if (!c.value || c.value_is_prefix || dictionary_.known(field, *c.value)) {
+      constraint_options.push_back(Option{std::string{c.value.value_or("")}, 0});
     } else {
       any_misspelled = true;
-      for (const auto& s : dictionary_.suggest(c.path_string(), *c.value)) {
+      for (const auto& s : dictionary_.suggest(field, *c.value)) {
         constraint_options.push_back(Option{s.value, s.distance});
       }
       if (constraint_options.empty()) return {};  // unrepairable constraint
@@ -146,9 +147,9 @@ std::vector<query::Query> FuzzyResolver::corrections(const query::Query& q,
     for (const Candidate& base : partial) {
       for (const Option& option : options[i]) {
         Candidate extended = base;
-        query::Constraint c = q.constraints()[i];
+        query::ConstraintView c = q.constraints()[i];
         if (c.value && !c.value_is_prefix) c.value = option.value;
-        extended.query.add_constraint(std::move(c));
+        extended.query.add_constraint(c);
         extended.total_distance += option.distance;
         next.push_back(std::move(extended));
       }

@@ -39,12 +39,12 @@ void cross_check_hop(const Id& node, const Query& key, const IndexNodeState::Sou
   const std::uint64_t charged = entry != nullptr ? entry->targets.byte_size() : 0;
   if (scanned == picked && summed == charged) return;
   const auto name = [](const Query* pick) {
-    return pick == nullptr ? std::string{"none"} : "'" + pick->canonical() + "'";
+    return pick == nullptr ? std::string{"none"} : "'" + std::string{pick->canonical()} + "'";
   };
-  throw InvariantError("next hop at node " + node.brief() + " for key '" + key.canonical() +
-                       "': filtered pick " + name(picked) + ", scan pick " + name(scanned) +
-                       ", charged " + std::to_string(charged) + " B, re-summed " +
-                       std::to_string(summed) + " B");
+  throw InvariantError("next hop at node " + node.brief() + " for key '" +
+                       std::string{key.canonical()} + "': filtered pick " + name(picked) +
+                       ", scan pick " + name(scanned) + ", charged " + std::to_string(charged) +
+                       " B, re-summed " + std::to_string(summed) + " B");
 }
 
 }  // namespace
@@ -350,7 +350,7 @@ std::vector<Query> LookupEngine::search_range(const Query& base,
     Query q = base;
     q.add_field(field_path, std::to_string(value));
     for (Query& msd : search_all(q, depth_limit)) {
-      if (seen.insert(msd.canonical()).second) results.push_back(std::move(msd));
+      if (seen.insert(std::string{msd.canonical()}).second) results.push_back(std::move(msd));
     }
   }
   std::sort(results.begin(), results.end());

@@ -6,9 +6,9 @@
 namespace dhtidx::index {
 
 std::vector<IndexNodeState::SourceEntry>::iterator IndexNodeState::lower_bound(
-    const std::string& canonical) {
+    std::string_view canonical) {
   return std::lower_bound(entries_.begin(), entries_.end(), canonical,
-                          [](const SourceEntry& entry, const std::string& c) {
+                          [](const SourceEntry& entry, std::string_view c) {
                             return entry.source->canonical() < c;
                           });
 }
@@ -21,7 +21,7 @@ const IndexNodeState::SourceEntry* IndexNodeState::entry_of(
   if (interned == nullptr) return nullptr;
   const auto it = std::lower_bound(entries_.begin(), entries_.end(),
                                    interned->canonical(),
-                                   [](const SourceEntry& entry, const std::string& c) {
+                                   [](const SourceEntry& entry, std::string_view c) {
                                      return entry.source->canonical() < c;
                                    });
   if (it == entries_.end() || it->source != interned) return nullptr;

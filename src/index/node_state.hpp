@@ -126,7 +126,7 @@ class IndexNodeState {
 
  private:
   /// Sorted position of `canonical` in entries_ (insertion point when absent).
-  std::vector<SourceEntry>::iterator lower_bound(const std::string& canonical);
+  std::vector<SourceEntry>::iterator lower_bound(std::string_view canonical);
 
   std::unique_ptr<query::QueryInterner> own_interner_;  // set when standalone
   query::QueryInterner* interner_;

@@ -1,11 +1,25 @@
 #include "index/scheme.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
 
 namespace dhtidx::index {
+
+namespace {
+
+/// The exact-value constraint of `msd` at `path`, if it has one.
+std::optional<query::ConstraintView> exact_field(const query::Query& msd,
+                                                 const std::vector<std::string>& path) {
+  for (const query::ConstraintView c : msd.constraints()) {
+    if (c.value && !c.value_is_prefix && query::path_equals(c.path, path)) return c;
+  }
+  return std::nullopt;
+}
+
+}  // namespace
 
 std::string to_string(SchemeKind kind) {
   switch (kind) {
@@ -159,14 +173,8 @@ std::vector<Mapping> IndexingScheme::mappings_for(const query::Query& msd) const
     mappings.push_back(Mapping{std::move(source), std::move(target)});
   }
   for (const PathRule& rule : path_rules_) {
-    const query::Constraint* field = nullptr;
-    for (const query::Constraint& c : msd.constraints()) {
-      if (c.value && !c.value_is_prefix && query::path_equals(c.path, rule.path)) {
-        field = &c;
-        break;
-      }
-    }
-    if (field == nullptr) continue;  // descriptor lacks the field
+    const std::optional<query::ConstraintView> field = exact_field(msd, rule.path);
+    if (!field) continue;  // descriptor lacks the field
     query::Query source{msd.root()};
     source.add_constraint(*field);
     query::Query target = rule.target_is_msd ? msd : project(msd, rule.target_fields);
@@ -174,23 +182,12 @@ std::vector<Mapping> IndexingScheme::mappings_for(const query::Query& msd) const
     mappings.push_back(Mapping{std::move(source), std::move(target)});
   }
   for (const PrefixRule& rule : prefix_rules_) {
-    // Find the exact-value constraint at the rule's path in the MSD.
-    const query::Constraint* field = nullptr;
-    for (const query::Constraint& c : msd.constraints()) {
-      if (c.value && !c.value_is_prefix && query::path_equals(c.path, rule.path)) {
-        field = &c;
-        break;
-      }
-    }
-    if (field == nullptr) continue;  // descriptor lacks the field
+    const std::optional<query::ConstraintView> field = exact_field(msd, rule.path);
+    if (!field) continue;  // descriptor lacks the field
     const std::size_t length = std::min(rule.prefix_length, field->value->size());
     if (length == 0) continue;
     query::Query source{msd.root()};
-    query::Constraint prefix;
-    prefix.path = join(rule.path, "/");
-    prefix.value = field->value->substr(0, length);
-    prefix.value_is_prefix = true;
-    source.add_constraint(std::move(prefix));
+    source.add_prefix(field->path, field->value->substr(0, length));
     query::Query target =
         rule.target_is_msd ? msd : project(msd, rule.target_fields);
     if (source == target) continue;

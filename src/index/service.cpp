@@ -134,14 +134,14 @@ void IndexService::place(IndexNodeState& state, const Id& node, std::size_t copy
 Id IndexService::insert_interned(const query::Query* s, const query::Query* t,
                                  std::uint64_t now) {
   if (!s->covers(*t)) {
-    throw InvariantError("index mapping rejected: '" + s->canonical() +
-                         "' does not cover '" + t->canonical() + "'");
+    throw InvariantError("index mapping rejected: '" + std::string{s->canonical()} +
+                         "' does not cover '" + std::string{t->canonical()} + "'");
   }
   // As a build-time operation a placement costs no ledger traffic.
   const std::vector<Id> replicas = placement(s->key());
   if (replicas.empty()) {
     throw InvariantError("index insert: no live replica for key of '" +
-                         s->canonical() + "'");
+                         std::string{s->canonical()} + "'");
   }
   for (std::size_t copy = 0; copy < replicas.size(); ++copy) {
     place(state_at(replicas[copy]), replicas[copy], copy, s, t, now);
@@ -407,7 +407,9 @@ std::size_t IndexService::rebalance() {
     for (const auto& [node, state] : states_) {
       for (const auto& [source, targets] : state.entries()) {
         for (const IndexNodeState::TargetRef& ref : targets) {
-          const std::string key = source->canonical() + '\x1f' + ref.target->canonical();
+          std::string key{source->canonical()};
+          key += '\x1f';
+          key += ref.target->canonical();
           auto [it, inserted] = facts.try_emplace(key, Fact{source, ref.target, ref.stamp});
           if (!inserted && it->second.stamp < ref.stamp) it->second.stamp = ref.stamp;
         }

@@ -20,8 +20,8 @@ std::string save_snapshot(const index::IndexService& service,
     for (const auto& [source, targets] : state.entries()) {
       for (const index::IndexNodeState::TargetRef& ref : targets) {
         xml::Element mapping{"mapping"};
-        mapping.set_attribute("source", source->canonical());
-        mapping.set_attribute("target", ref.target->canonical());
+        mapping.set_attribute("source", std::string{source->canonical()});
+        mapping.set_attribute("target", std::string{ref.target->canonical()});
         index.add_child(std::move(mapping));
       }
     }

@@ -8,11 +8,14 @@
 // `const Query*` refs instead of copies, and pointer equality coincides with
 // query equality for pointers produced by the same interner.
 //
-// Interned queries are returned with their canonical string and DHT key
-// pre-computed, so concurrent readers never race on the lazy caches, and are
+// An interned query is one Query buffer (query.hpp) with its DHT key
+// pre-computed, so concurrent readers never race on the key memo. It is
 // never freed before the interner itself: erasing an index entry leaves the
 // interned query behind (refs held elsewhere -- shortcut caches, replies in
-// flight, audit snapshots -- stay valid for the interner's lifetime).
+// flight, audit snapshots -- stay valid for the interner's lifetime). The
+// probe table is a CanonicalIndex: (hash32, arena index) slots, probed with
+// a cheap hash of the canonical bytes rather than the SHA-1 key, since most
+// probes hit a query that is already pooled and need no key at all.
 //
 // Not thread-safe: each simulation cell owns its world (and therefore its
 // interner); nothing concurrent ever writes one. The sharded build (DESIGN.md
@@ -26,16 +29,59 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
 #include "query/query.hpp"
 
 namespace dhtidx::query {
+
+/// Open-addressing probe table over queries stored elsewhere in insertion
+/// order (the interner's arena, an epoch's pending list): linear probing over
+/// (hash32, index) slots, a power-of-two capacity at most 3/4 full. A probe
+/// compares canonical bytes only on a 32-bit hash match; growing rehashes
+/// from the stored hashes alone.
+class CanonicalIndex {
+ public:
+  static constexpr std::uint32_t kAbsent = 0xFFFFFFFFu;
+
+  /// The probe hash of a canonical form.
+  static std::uint32_t hash(std::string_view canonical) {
+    return static_cast<std::uint32_t>(std::hash<std::string_view>{}(canonical));
+  }
+
+  /// The index i with entries[i].canonical() == canonical, or kAbsent.
+  /// `entries` is the sequence the indices refer to.
+  template <typename Entries>
+  std::uint32_t find(std::string_view canonical, std::uint32_t hash,
+                     const Entries& entries) const {
+    if (slots_.empty()) return kAbsent;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t at = hash & mask;; at = (at + 1) & mask) {
+      const Slot& slot = slots_[at];
+      if (slot.index == kAbsent) return kAbsent;
+      if (slot.hash == hash && entries[slot.index].canonical() == canonical) return slot.index;
+    }
+  }
+
+  /// Adds entry `index`, which find() does not know yet, under `hash`.
+  void insert(std::uint32_t hash, std::uint32_t index);
+
+  /// Forgets every entry; keeps the capacity.
+  void clear();
+
+  std::size_t size() const { return size_; }
+
+ private:
+  struct Slot {
+    std::uint32_t hash = 0;
+    std::uint32_t index = kAbsent;
+  };
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
 
 /// Arena of canonical query instances.
 class QueryInterner {
@@ -47,34 +93,43 @@ class QueryInterner {
   QueryInterner& operator=(const QueryInterner&) = delete;
 
   /// The canonical instance equal to `q`, created on first sight. The
-  /// returned query has its canonical string and DHT key pre-computed.
-  /// Probes before copying: re-interning an already-pooled query (the steady
-  /// state of republish and shortcut-refresh traffic) costs one hash lookup,
-  /// no Query copy.
+  /// returned query has its DHT key pre-computed. Probes before copying:
+  /// re-interning an already-pooled query (the steady state of republish and
+  /// shortcut-refresh traffic) costs one probe, no Query copy.
   const Query* intern(const Query& q) {
-    const Query* existing = find_existing(q);
-    return existing != nullptr ? existing : intern_impl(Query{q});
+    const std::uint32_t hash = CanonicalIndex::hash(q.canonical());
+    const Query* existing = find_existing(q, hash);
+    return existing != nullptr ? existing : insert(Query{q}, hash);
   }
-  const Query* intern(Query&& q) { return intern_impl(std::move(q)); }
+  const Query* intern(Query&& q) {
+    const std::uint32_t hash = CanonicalIndex::hash(q.canonical());
+    const Query* existing = find_existing(q, hash);
+    return existing != nullptr ? existing : insert(std::move(q), hash);
+  }
 
   /// The canonical instance equal to `q` when one exists, nullptr otherwise.
   /// Probe-only: never grows the pool (lookups of absent queries must not
   /// leak arena memory), so concurrent produce-phase workers may call it
   /// while the pool is frozen between serial intern sub-phases.
   const Query* find_existing(const Query& q) const {
+    return find_existing(q, CanonicalIndex::hash(q.canonical()));
+  }
+  /// find_existing() with the probe hash of `q`'s canonical form given.
+  const Query* find_existing(const Query& q, std::uint32_t hash) const {
     intern_phase_.assert_shared();  // reads are safe: pool frozen outside the serial phase
-    const auto it = pool_.find(std::string_view{q.canonical()});
-    return it == pool_.end() ? nullptr : it->second;
+    const std::uint32_t at = index_.find(q.canonical(), hash, arena_);
+    return at == CanonicalIndex::kAbsent ? nullptr : &arena_[at];
   }
 
   /// Number of distinct queries interned.
   std::size_t size() const {
     intern_phase_.assert_shared();
-    return pool_.size();
+    return arena_.size();
   }
 
  private:
-  const Query* intern_impl(Query&& q);
+  /// Appends `q`, known to be absent, and pre-warms its key.
+  const Query* insert(Query&& q, std::uint32_t hash);
 
   /// The serial-intern-phase contract as a capability: the pool only grows
   /// while exactly one thread runs intern (single-threaded cells trivially;
@@ -88,10 +143,8 @@ class QueryInterner {
   // interner's lifetime, across a move of the interner too. Teardown then
   // frees the queries in the order they were allocated.
   std::deque<Query> arena_ DHTIDX_GUARDED_BY(intern_phase_);
-  // Probe table. Keys are views into each stored query's canonical cache,
-  // which is immutable once the query is interned.
-  // dhtidx-lint: allow(hot-path-map) "hash probe table keyed by canonical form; iteration order is never observed, so determinism is unaffected"
-  std::unordered_map<std::string_view, const Query*> pool_ DHTIDX_GUARDED_BY(intern_phase_);
+  // Probe table over arena_ indices.
+  CanonicalIndex index_ DHTIDX_GUARDED_BY(intern_phase_);
 };
 
 /// Epoch-scoped intern requests, shared by the sharded build's producers and
@@ -100,14 +153,6 @@ class QueryInterner {
 /// form, and resolved to interned refs by the serial intern sub-phase
 /// between the parallel phases (DESIGN.md sections 12 and 15).
 struct InternRequests {
-  /// Transparent string hash: pending_index is probed with views.
-  struct CanonicalHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view text) const {
-      return std::hash<std::string_view>{}(text);
-    }
-  };
-
   /// Marks a ref that was pooled at emission time (no pending slot).
   static constexpr std::uint32_t kNoPending = 0xFFFFFFFFu;
 
@@ -118,11 +163,8 @@ struct InternRequests {
   PhaseCapability phase_;
   /// New queries, in emission order.
   std::vector<Query> pending DHTIDX_GUARDED_BY(phase_);
-  /// canonical -> idx into pending. Exact-key probes only, by string_view,
-  /// so a probe copies nothing.
-  // dhtidx-lint: allow(hot-path-map) "exact-key dedup probe table, never iterated; cleared every epoch"
-  std::unordered_map<std::string, std::uint32_t, CanonicalHash, std::equal_to<>> pending_index
-      DHTIDX_GUARDED_BY(phase_);
+  /// Probe table over `pending` indices.
+  CanonicalIndex pending_index DHTIDX_GUARDED_BY(phase_);
   /// pending[i] -> interned ref.
   std::vector<const Query*> resolved DHTIDX_GUARDED_BY(phase_);
 
@@ -137,12 +179,13 @@ struct InternRequests {
   /// pool only grows in the serial intern sub-phase between parallel phases.
   void resolve(const QueryInterner& interner, Query&& q, const Query*& ref,
                std::uint32_t& pending_slot) DHTIDX_REQUIRES(phase_) {
-    if (const Query* existing = interner.find_existing(q)) {
+    const std::uint32_t hash = CanonicalIndex::hash(q.canonical());
+    if (const Query* existing = interner.find_existing(q, hash)) {
       ref = existing;
       pending_slot = kNoPending;
       return;
     }
-    enqueue(std::move(q), ref, pending_slot);
+    enqueue(std::move(q), hash, ref, pending_slot);
   }
 
   /// resolve() without taking ownership: probes first and copies `q` only
@@ -150,12 +193,13 @@ struct InternRequests {
   /// back through a recorded delta) costs one probe and zero copies.
   void resolve_copy(const QueryInterner& interner, const Query& q, const Query*& ref,
                     std::uint32_t& pending_slot) DHTIDX_REQUIRES(phase_) {
-    if (const Query* existing = interner.find_existing(q)) {
+    const std::uint32_t hash = CanonicalIndex::hash(q.canonical());
+    if (const Query* existing = interner.find_existing(q, hash)) {
       ref = existing;
       pending_slot = kNoPending;
       return;
     }
-    enqueue(Query{q}, ref, pending_slot);
+    enqueue(Query{q}, hash, ref, pending_slot);
   }
 
   /// The serial intern sub-phase: the only writes the shared pool ever sees.
@@ -176,17 +220,13 @@ struct InternRequests {
   }
 
  private:
-  void enqueue(Query&& q, const Query*& ref, std::uint32_t& pending_slot)
+  void enqueue(Query&& q, std::uint32_t hash, const Query*& ref, std::uint32_t& pending_slot)
       DHTIDX_REQUIRES(phase_) {
-    const std::string& canonical = q.canonical();
-    const auto it = pending_index.find(std::string_view{canonical});
     ref = nullptr;
-    if (it != pending_index.end()) {
-      pending_slot = it->second;
-      return;
-    }
+    pending_slot = pending_index.find(q.canonical(), hash, pending);
+    if (pending_slot != CanonicalIndex::kAbsent) return;
     pending_slot = static_cast<std::uint32_t>(pending.size());
-    pending_index.emplace(canonical, pending_slot);
+    pending_index.insert(hash, pending_slot);
     pending.push_back(std::move(q));
   }
 };

@@ -164,22 +164,23 @@ class Parser {
     }
   }
 
-  /// Converts the parse tree into a normalized Query.
+  /// Converts the parse tree into a normalized Query, encoded once.
   Query flatten(const PNode& root) {
-    Query q{root.name};
     if (root.value || root.presence_marker) {
       fail("the root element cannot carry a value");
     }
+    std::vector<Constraint> constraints;
     std::string path;
     for (const PNode& child : root.children) {
-      flatten_subtree(child, path, /*descendant=*/child.descendant, q);
+      flatten_subtree(child, path, /*descendant=*/child.descendant, constraints);
     }
-    return q;
+    return Query{root.name, {constraints.begin(), constraints.end()}};
   }
 
   /// `path` is the slash-joined chain down to `node`'s parent; it is
   /// extended in place by `node`'s name and restored before returning.
-  void flatten_subtree(const PNode& node, std::string& path, bool descendant, Query& q) {
+  void flatten_subtree(const PNode& node, std::string& path, bool descendant,
+                       std::vector<Constraint>& out) {
     if (node.descendant && !path.empty()) {
       fail("'//' is only supported at the start of a constraint path");
     }
@@ -200,13 +201,13 @@ class Parser {
         c.path.assign(path, 0, mark);
         c.value = node.name;
       }
-      q.add_constraint(std::move(c));
+      out.push_back(std::move(c));
     } else {
       if (node.value || node.presence_marker) {
         fail("a value may only terminate a constraint path");
       }
       for (const PNode& child : node.children) {
-        flatten_subtree(child, path, descendant, q);
+        flatten_subtree(child, path, descendant, out);
       }
     }
     path.resize(mark);

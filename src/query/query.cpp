@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
+#include <limits>
+#include <new>
 #include <utility>
 
 #include "common/error.hpp"
@@ -62,14 +65,14 @@ bool path_matches_suffix(std::string_view pattern, std::string_view concrete) {
 }
 
 /// True when `element` satisfies the value part of `c`.
-bool value_matches(const xml::Element& element, const Constraint& c) {
+bool value_matches(const xml::Element& element, const ConstraintView& c) {
   if (!c.value) return true;
   return c.value_is_prefix ? starts_with(element.text(), *c.value) : element.text() == *c.value;
 }
 
 /// True when some element reached by following the remaining steps `rest`
 /// from `node` satisfies `c`'s value.
-bool reaches(const xml::Element& node, std::string_view rest, const Constraint& c) {
+bool reaches(const xml::Element& node, std::string_view rest, const ConstraintView& c) {
   if (rest.empty()) return value_matches(node, c);
   const std::string_view step = take_step(rest);
   for (const xml::Element& child : node.children()) {
@@ -80,7 +83,8 @@ bool reaches(const xml::Element& node, std::string_view rest, const Constraint& 
 
 /// reaches() starting from `node` or *any* of its descendants: the //
 /// semantics.
-bool reaches_anywhere(const xml::Element& node, std::string_view path, const Constraint& c) {
+bool reaches_anywhere(const xml::Element& node, std::string_view path,
+                      const ConstraintView& c) {
   if (reaches(node, path, c)) return true;
   for (const xml::Element& child : node.children()) {
     if (reaches_anywhere(child, path, c)) return true;
@@ -115,7 +119,7 @@ void collect_leaf_constraints(const xml::Element& node, std::string& path,
 /// depends on the whole input. Identical constraints share a bit, which is
 /// all soundness needs. Feeding the joined path and then '/' is the same
 /// input as feeding each step followed by '/'.
-std::uint64_t cover_bit(const Constraint& c) {
+std::uint64_t cover_bit(const ConstraintView& c) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto feed = [&h](std::string_view text, char end) {
     for (const char ch : text) h = (h ^ static_cast<unsigned char>(ch)) * 0x100000001b3ULL;
@@ -131,7 +135,7 @@ std::uint64_t cover_bit(const Constraint& c) {
 
 /// True for a constraint that constraint_implies() derives only from an
 /// identical one: an exact value on an anchored path with no "*" step.
-bool is_plain(const Constraint& c) {
+bool is_plain(const ConstraintView& c) {
   return c.value && !c.value_is_prefix && !c.descendant && !has_star_step(c.path);
 }
 
@@ -170,16 +174,151 @@ bool needs_quoting(std::string_view value) {
          value.find_first_of("[]=/'\\*") != std::string_view::npos;
 }
 
-void append_quoted(std::string& out, std::string_view value) {
-  out.push_back('\'');
+/// Length of `value` quoted: the quotes plus a backslash before each quote
+/// and backslash.
+std::size_t quoted_size(std::string_view value) {
+  return 2 + value.size() +
+         static_cast<std::size_t>(std::count_if(value.begin(), value.end(), [](char c) {
+           return c == '\'' || c == '\\';
+         }));
+}
+
+char* write_quoted(char* out, std::string_view value) {
+  *out++ = '\'';
   for (const char c : value) {
-    if (c == '\'' || c == '\\') out.push_back('\\');
-    out.push_back(c);
+    if (c == '\'' || c == '\\') *out++ = '\\';
+    *out++ = c;
   }
-  out.push_back('\'');
+  *out++ = '\'';
+  return out;
+}
+
+char* write(char* out, std::string_view text) {
+  std::memcpy(out, text.data(), text.size());
+  return out + text.size();
 }
 
 }  // namespace
+
+// The buffer: Header, `count` Slots, the canonical text (`size` bytes), then
+// the unescaped bytes of quoted values. Offsets in a slot count from the
+// start of the text. A constraint's flags are read off the text itself: its
+// path follows "[//" when it is a descendant path and "[" otherwise, and is
+// followed by '^' exactly when its value is a prefix; value_off is 0 (the
+// text's leading '/') when it has no value.
+struct Query::Header {
+  std::uint64_t required_bits;
+  std::uint64_t present_bits;
+  std::uint32_t bytes;      // the whole buffer
+  std::uint32_t size;       // canonical text
+  std::uint32_t root_size;  // root name, at text offset 1
+  std::uint32_t count;      // constraints (slots)
+  Id key;                   // memo of Id::hash(canonical), valid when key_cached
+  bool key_cached;
+};
+
+struct Query::Slot {
+  std::uint32_t path_off;
+  std::uint32_t path_len;
+  std::uint32_t value_off;
+  std::uint32_t value_len;
+};
+
+const Query::Header* Query::header() const { return reinterpret_cast<const Header*>(buf_); }
+
+const Query::Slot* Query::slots() const {
+  return reinterpret_cast<const Slot*>(buf_ + sizeof(Header));
+}
+
+const char* Query::text() const { return buf_ + sizeof(Header) + header()->count * sizeof(Slot); }
+
+std::size_t Query::size() const { return buf_ == nullptr ? 0 : header()->count; }
+
+ConstraintView Query::view_at(std::size_t i) const {
+  const Slot& slot = slots()[i];
+  const char* t = text();
+  ConstraintView c;
+  c.path = std::string_view{t + slot.path_off, slot.path_len};
+  if (slot.value_off != 0) c.value.emplace(t + slot.value_off, slot.value_len);
+  c.descendant = t[slot.path_off - 1] == '/';
+  c.value_is_prefix = t[slot.path_off + slot.path_len] == '^';
+  return c;
+}
+
+Query Query::encode(std::string_view root, std::vector<ConstraintView>& constraints) {
+  std::sort(constraints.begin(), constraints.end());
+  constraints.erase(std::unique(constraints.begin(), constraints.end()), constraints.end());
+
+  std::size_t text_size = 1 + root.size();
+  std::size_t raw_size = 0;
+  for (const ConstraintView& c : constraints) {
+    text_size += 2 + (c.descendant ? 2 : 0) + c.path.size();
+    if (c.value) {
+      text_size += (c.value_is_prefix ? 2 : 1);
+      if (needs_quoting(*c.value)) {
+        text_size += quoted_size(*c.value);
+        raw_size += c.value->size();
+      } else {
+        text_size += c.value->size();
+      }
+    } else if (c.path.find('/') != std::string_view::npos) {
+      text_size += 2;  // "=*"
+    }
+  }
+  const std::size_t bytes =
+      sizeof(Header) + constraints.size() * sizeof(Slot) + text_size + raw_size;
+  if (bytes > std::numeric_limits<std::uint32_t>::max()) {
+    throw InvariantError("query of " + std::to_string(bytes) + " bytes exceeds 4 GiB");
+  }
+
+  Query q;
+  q.buf_ = static_cast<char*>(::operator new(bytes));
+  Header& h = *new (q.buf_) Header{};
+  h.bytes = static_cast<std::uint32_t>(bytes);
+  h.size = static_cast<std::uint32_t>(text_size);
+  h.root_size = static_cast<std::uint32_t>(root.size());
+  h.count = static_cast<std::uint32_t>(constraints.size());
+  Slot* slot = reinterpret_cast<Slot*>(q.buf_ + sizeof(Header));
+  char* const text = q.buf_ + sizeof(Header) + constraints.size() * sizeof(Slot);
+  char* out = text;
+  char* raw = text + text_size;
+  const auto offset = [text](const char* at) { return static_cast<std::uint32_t>(at - text); };
+
+  *out++ = '/';
+  out = write(out, root);
+  for (const ConstraintView& c : constraints) {
+    *out++ = '[';
+    if (c.descendant) out = write(out, "//");
+    slot->path_off = offset(out);
+    slot->path_len = static_cast<std::uint32_t>(c.path.size());
+    out = write(out, c.path);
+    slot->value_off = 0;
+    slot->value_len = 0;
+    if (c.value) {
+      if (c.value_is_prefix) *out++ = '^';
+      *out++ = '=';
+      slot->value_len = static_cast<std::uint32_t>(c.value->size());
+      if (needs_quoting(*c.value)) {
+        out = write_quoted(out, *c.value);
+        slot->value_off = offset(raw);
+        raw = write(raw, *c.value);
+      } else {
+        slot->value_off = offset(out);
+        out = write(out, *c.value);
+      }
+    } else if (c.path.find('/') != std::string_view::npos) {
+      // Multi-step presence constraints need the explicit marker; a bare
+      // multi-step path would re-parse with its last step as a value.
+      out = write(out, "=*");
+    }
+    *out++ = ']';
+    ++slot;
+    const std::uint64_t bit = cover_bit(c);
+    h.present_bits |= bit;
+    if (is_plain(c)) h.required_bits |= bit;
+  }
+  return q;
+}
 
 bool path_equals(std::string_view path, const std::vector<std::string>& steps) {
   for (const std::string& step : steps) {
@@ -188,90 +327,113 @@ bool path_equals(std::string_view path, const std::vector<std::string>& steps) {
   return path.empty();
 }
 
-std::strong_ordering Constraint::operator<=>(const Constraint& other) const {
+std::strong_ordering ConstraintView::operator<=>(const ConstraintView& other) const {
   if (const auto order = compare_paths(path, other.path); order != 0) return order;
   if (const auto order = value <=> other.value; order != 0) return order;
   if (const auto order = descendant <=> other.descendant; order != 0) return order;
   return value_is_prefix <=> other.value_is_prefix;
 }
 
-Query Query::most_specific(const xml::Element& descriptor) {
-  Query q{descriptor.name()};
-  std::string path;
-  collect_leaf_constraints(descriptor, path, q.constraints_);
-  q.normalize();
-  return q;
+std::strong_ordering Constraint::operator<=>(const Constraint& other) const {
+  return ConstraintView{*this} <=> ConstraintView{other};
 }
 
-Query& Query::add_constraint(Constraint constraint) {
-  check_path(constraint.path);
-  constraints_.push_back(std::move(constraint));
-  normalize();
+Query::Query(std::string_view root) {
+  std::vector<ConstraintView> none;
+  *this = encode(root, none);
+}
+
+Query::Query(std::string_view root, std::vector<ConstraintView> constraints) {
+  for (const ConstraintView& c : constraints) check_path(c.path);
+  *this = encode(root, constraints);
+}
+
+Query::Query(const Query& other) {
+  if (other.buf_ == nullptr) return;
+  buf_ = static_cast<char*>(::operator new(other.header()->bytes));
+  std::memcpy(buf_, other.buf_, other.header()->bytes);
+}
+
+Query& Query::operator=(const Query& other) {
+  if (this != &other) *this = Query{other};
   return *this;
 }
 
-Query& Query::add_field(std::string_view slash_path, std::string value) {
-  Constraint c;
-  c.path = slash_path;
-  c.value = std::move(value);
-  return add_constraint(std::move(c));
+Query& Query::operator=(Query&& other) noexcept {
+  if (this != &other) {
+    ::operator delete(buf_);
+    buf_ = std::exchange(other.buf_, nullptr);
+  }
+  return *this;
+}
+
+Query::~Query() { ::operator delete(buf_); }
+
+Query Query::most_specific(const xml::Element& descriptor) {
+  std::vector<Constraint> constraints;
+  std::string path;
+  collect_leaf_constraints(descriptor, path, constraints);
+  return Query{descriptor.name(), {constraints.begin(), constraints.end()}};
+}
+
+std::string_view Query::root() const {
+  return buf_ == nullptr ? std::string_view{} : std::string_view{text() + 1, header()->root_size};
+}
+
+Query::ConstraintRange Query::constraints() const { return {this, size()}; }
+
+bool Query::has_constraints() const { return size() != 0; }
+
+std::string_view Query::canonical() const {
+  return buf_ == nullptr ? std::string_view{"/"} : std::string_view{text(), header()->size};
+}
+
+const Id& Query::key() const {
+  if (buf_ == nullptr) {
+    static const Id empty_key = Id::hash("/");
+    return empty_key;
+  }
+  Header& h = *reinterpret_cast<Header*>(buf_);
+  if (!h.key_cached) {
+    h.key = Id::hash(canonical());
+    h.key_cached = true;
+  }
+  return h.key;
+}
+
+Query& Query::add_constraint(const ConstraintView& constraint) {
+  check_path(constraint.path);
+  std::vector<ConstraintView> views;
+  views.reserve(size() + 1);
+  for (const ConstraintView c : constraints()) views.push_back(c);
+  views.push_back(constraint);
+  *this = encode(root(), views);
+  return *this;
+}
+
+Query& Query::add_field(std::string_view slash_path, std::string_view value) {
+  return add_constraint(ConstraintView{slash_path, value});
 }
 
 Query& Query::add_presence(std::string_view slash_path) {
-  Constraint c;
-  c.path = slash_path;
-  return add_constraint(std::move(c));
+  return add_constraint(ConstraintView{slash_path, std::nullopt});
 }
 
-Query& Query::add_prefix(std::string_view slash_path, std::string prefix) {
-  Constraint c;
-  c.path = slash_path;
-  c.value = std::move(prefix);
-  c.value_is_prefix = true;
-  return add_constraint(std::move(c));
-}
-
-void Query::normalize() {
-  std::sort(constraints_.begin(), constraints_.end());
-  constraints_.erase(std::unique(constraints_.begin(), constraints_.end()),
-                     constraints_.end());
-  invalidate_cache();
-}
-
-const std::string& Query::canonical() const {
-  if (!canonical_cache_.empty()) return canonical_cache_;
-  std::string out = "/" + root_;
-  for (const Constraint& c : constraints_) {
-    out.push_back('[');
-    if (c.descendant) out += "//";
-    out += c.path;
-    if (c.value) {
-      if (c.value_is_prefix) out.push_back('^');
-      out.push_back('=');
-      if (needs_quoting(*c.value)) {
-        append_quoted(out, *c.value);
-      } else {
-        out += *c.value;
-      }
-    } else if (c.path.find('/') != std::string::npos) {
-      // Multi-step presence constraints need the explicit marker; a bare
-      // multi-step path would re-parse with its last step as a value.
-      out += "=*";
-    }
-    out.push_back(']');
-  }
-  canonical_cache_ = std::move(out);
-  return canonical_cache_;
+Query& Query::add_prefix(std::string_view slash_path, std::string_view prefix) {
+  return add_constraint(ConstraintView{slash_path, prefix, false, true});
 }
 
 bool Query::matches(const xml::Element& doc) const {
-  if (!name_matches(root_, doc.name())) return false;
-  return std::all_of(constraints_.begin(), constraints_.end(), [&](const Constraint& c) {
-    return c.descendant ? reaches_anywhere(doc, c.path, c) : reaches(doc, c.path, c);
-  });
+  if (!name_matches(root(), doc.name())) return false;
+  for (const ConstraintView c : constraints()) {
+    if (!(c.descendant ? reaches_anywhere(doc, c.path, c) : reaches(doc, c.path, c))) {
+      return false;
+    }
+  }
+  return true;
 }
 
-bool constraint_implies(const Constraint& specific, const Constraint& general) {
+bool constraint_implies(const ConstraintView& specific, const ConstraintView& general) {
   // Value: a presence requirement is implied by anything on the same field.
   // An exact requirement needs the identical exact value. A prefix
   // requirement is implied by any exact value or longer/equal prefix that
@@ -303,30 +465,27 @@ bool constraint_implies(const Constraint& specific, const Constraint& general) {
 }
 
 bool Query::covers(const Query& other) const {
-  if (root_ != "*" && root_ != other.root_) return false;
-  for (const Constraint& general : constraints_) {
-    const bool implied =
-        std::any_of(other.constraints_.begin(), other.constraints_.end(),
-                    [&](const Constraint& specific) {
-                      return constraint_implies(specific, general);
-                    });
+  const std::string_view r = root();
+  if (r != "*" && r != other.root()) return false;
+  const std::size_t n = size();
+  const std::size_t m = other.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const ConstraintView general = view_at(i);
+    bool implied = false;
+    for (std::size_t j = 0; j < m && !implied; ++j) {
+      implied = constraint_implies(other.view_at(j), general);
+    }
     if (!implied) return false;
   }
   return true;
 }
 
 std::uint64_t required_bits(const Query& q) {
-  std::uint64_t bits = 0;
-  for (const Constraint& c : q.constraints()) {
-    if (is_plain(c)) bits |= cover_bit(c);
-  }
-  return bits;
+  return q.buf_ == nullptr ? 0 : q.header()->required_bits;
 }
 
 std::uint64_t present_bits(const Query& q) {
-  std::uint64_t bits = 0;
-  for (const Constraint& c : q.constraints()) bits |= cover_bit(c);
-  return bits;
+  return q.buf_ == nullptr ? 0 : q.header()->present_bits;
 }
 
 bool Query::is_most_specific_of(const xml::Element& doc) const {
@@ -334,27 +493,28 @@ bool Query::is_most_specific_of(const xml::Element& doc) const {
 }
 
 std::vector<Query> Query::drop_one_generalizations() const {
+  const std::size_t n = size();
   std::vector<Query> result;
-  result.reserve(constraints_.size());
-  for (std::size_t drop = 0; drop < constraints_.size(); ++drop) {
-    Query q{root_};
-    for (std::size_t i = 0; i < constraints_.size(); ++i) {
-      if (i != drop) q.constraints_.push_back(constraints_[i]);
+  result.reserve(n);
+  std::vector<ConstraintView> views;
+  for (std::size_t drop = 0; drop < n; ++drop) {
+    views.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i != drop) views.push_back(view_at(i));
     }
-    q.normalize();
-    result.push_back(std::move(q));
+    result.push_back(encode(root(), views));
   }
   return result;
 }
 
 Query Query::keep_constraints(const std::vector<std::size_t>& keep) const {
-  Query q{root_};
+  std::vector<ConstraintView> views;
+  views.reserve(keep.size());
   for (const std::size_t i : keep) {
-    if (i >= constraints_.size()) throw InvariantError("keep_constraints: index out of range");
-    q.constraints_.push_back(constraints_[i]);
+    if (i >= size()) throw InvariantError("keep_constraints: index out of range");
+    views.push_back(view_at(i));
   }
-  q.normalize();
-  return q;
+  return encode(root(), views);
 }
 
 }  // namespace dhtidx::query

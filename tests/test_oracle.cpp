@@ -132,15 +132,15 @@ TEST_P(CoveringOracle, IndexAnswersEqualTheBruteForceCoverSet) {
     const auto& [q, wildcard] = family[qi];
     SCOPED_TRACE("replay: seed=" + std::to_string(seed) + " scheme=" +
                  scheme_name(scheme_kind) + " shards=" + std::to_string(shards) +
-                 " query=" + std::to_string(qi) + " " + q.canonical());
+                 " query=" + std::to_string(qi) + " " + std::string{q.canonical()});
     std::set<std::string> expected;
     std::vector<const Query*> covered;
     for (const Query& d : published) {
       if (!q.covers(d)) continue;
-      if (expected.insert(d.canonical()).second) covered.push_back(&d);
+      if (expected.insert(std::string{d.canonical()}).second) covered.push_back(&d);
     }
     std::set<std::string> found;
-    for (const Query& d : engine.search_all(q)) found.insert(d.canonical());
+    for (const Query& d : engine.search_all(q)) found.insert(std::string{d.canonical()});
     if (wildcard) {
       for (const std::string& d : found) {
         EXPECT_TRUE(expected.contains(d)) << "search_all returned an uncovered MSD " << d;

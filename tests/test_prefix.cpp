@@ -140,11 +140,11 @@ TEST(PrefixScheme, EndToEndInitialSearch) {
 
   std::set<std::string> expected;
   for (const auto& a : corpus.articles()) {
-    if (a.last_name[0] == initial) expected.insert(a.msd().canonical());
+    if (a.last_name[0] == initial) expected.insert(std::string{a.msd().canonical()});
   }
   ASSERT_FALSE(expected.empty());
   std::set<std::string> got;
-  for (const auto& msd : results) got.insert(msd.canonical());
+  for (const auto& msd : results) got.insert(std::string{msd.canonical()});
   EXPECT_EQ(got, expected);
 }
 

@@ -29,7 +29,7 @@ TEST(QueryKeyCache, KeyMatchesHashOfCanonical) {
 
 TEST(QueryKeyCache, AddConstraintInvalidatesBothCaches) {
   Query q = Query::parse("/article[author/last=Smith]");
-  const std::string canonical_before = q.canonical();
+  const std::string canonical_before = std::string{q.canonical()};
   const Id key_before = q.key();
 
   q.add_field("conf", "INFOCOM");

@@ -2,9 +2,12 @@
 // of the paper and by algebraic properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/strings.hpp"
@@ -323,6 +326,97 @@ class QueryPairGenerator {
  private:
   std::mt19937 rng_;
 };
+
+// The vector-of-Constraint covers() that preceded the slot-reading one,
+// kept as a reference that shares no code with it: a query is decoded into
+// owned Constraints, and implication is decided on those.
+namespace reference {
+
+std::string_view take_step(std::string_view& rest) {
+  const std::size_t slash = rest.find('/');
+  if (slash == std::string_view::npos) return std::exchange(rest, std::string_view{});
+  const std::string_view step{rest.data(), slash};
+  rest.remove_prefix(slash + 1);
+  return step;
+}
+
+bool has_star_step(std::string_view path) {
+  for (std::size_t at = path.find('*'); at != std::string_view::npos;
+       at = path.find('*', at + 1)) {
+    const bool starts = at == 0 || path[at - 1] == '/';
+    const bool ends = at + 1 == path.size() || path[at + 1] == '/';
+    if (starts && ends) return true;
+  }
+  return false;
+}
+
+bool path_matches_exact(std::string_view pattern, std::string_view concrete) {
+  if (pattern == concrete) return true;
+  if (!has_star_step(pattern)) return false;
+  while (!pattern.empty() && !concrete.empty()) {
+    const std::string_view want = take_step(pattern);
+    const std::string_view have = take_step(concrete);
+    if (want != "*" && want != have) return false;
+  }
+  return pattern.empty() && concrete.empty();
+}
+
+bool path_matches_suffix(std::string_view pattern, std::string_view concrete) {
+  const auto steps = [](std::string_view path) {
+    return static_cast<std::size_t>(std::count(path.begin(), path.end(), '/')) + 1;
+  };
+  const std::size_t want = steps(pattern);
+  const std::size_t have = steps(concrete);
+  if (want > have) return false;
+  for (std::size_t skip = have - want; skip > 0; --skip) take_step(concrete);
+  return path_matches_exact(pattern, concrete);
+}
+
+bool implies(const Constraint& specific, const Constraint& general) {
+  if (general.value) {
+    if (!specific.value) return false;
+    if (general.value_is_prefix) {
+      if (specific.value_is_prefix && specific.value->size() < general.value->size()) {
+        return false;
+      }
+      if (!starts_with(*specific.value, *general.value)) return false;
+    } else if (specific.value_is_prefix || *specific.value != *general.value) {
+      return false;
+    }
+  }
+  if (!general.descendant && !specific.descendant) {
+    return path_matches_exact(general.path, specific.path);
+  }
+  if (general.descendant) return path_matches_suffix(general.path, specific.path);
+  return false;
+}
+
+bool covers(const Query& a, const Query& b) {
+  if (a.root() != "*" && a.root() != b.root()) return false;
+  const std::vector<Constraint> general{a.constraints().begin(), a.constraints().end()};
+  const std::vector<Constraint> specific{b.constraints().begin(), b.constraints().end()};
+  return std::all_of(general.begin(), general.end(), [&](const Constraint& g) {
+    return std::any_of(specific.begin(), specific.end(),
+                       [&](const Constraint& s) { return implies(s, g); });
+  });
+}
+
+}  // namespace reference
+
+TEST(CoversReference, AgreesOnTheGeneratedPairs) {
+  // The pairs of CoverBits.CoveringPairsPassTheFilter: same generator, same
+  // seed, same draws.
+  QueryPairGenerator gen{2004};
+  int covering = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const Query b = gen.random_query(/*star_root=*/gen.pick(10) == 0);
+    const Query a = gen.pick(4) == 0 ? gen.random_query(gen.pick(10) == 0) : gen.generalize(b);
+    const bool expected = reference::covers(a, b);
+    EXPECT_EQ(a.covers(b), expected) << a.canonical() << " vs " << b.canonical();
+    if (expected) ++covering;
+  }
+  EXPECT_GT(covering, 10000);
+}
 
 TEST(CoverBits, CoveringPairsPassTheFilter) {
   QueryPairGenerator gen{2004};

@@ -32,7 +32,7 @@ class RangeWorld : public ::testing::Test {
   std::set<std::string> expected_in_range(int lo, int hi) const {
     std::set<std::string> expected;
     for (const auto& a : corpus_->articles()) {
-      if (a.year >= lo && a.year <= hi) expected.insert(a.msd().canonical());
+      if (a.year >= lo && a.year <= hi) expected.insert(std::string{a.msd().canonical()});
     }
     return expected;
   }
@@ -49,7 +49,7 @@ class RangeWorld : public ::testing::Test {
 TEST_F(RangeWorld, YearIntervalFindsAllArticles) {
   const auto results = engine_.search_range(Query{"article"}, "year", 1993, 1996);
   std::set<std::string> got;
-  for (const auto& msd : results) got.insert(msd.canonical());
+  for (const auto& msd : results) got.insert(std::string{msd.canonical()});
   EXPECT_EQ(got, expected_in_range(1993, 1996));
   EXPECT_FALSE(got.empty());
 }
@@ -75,10 +75,10 @@ TEST_F(RangeWorld, RangeComposesWithOtherConstraints) {
       engine_.search_range(a.author_query(), "year", 1994, 2000);
   std::set<std::string> expected;
   for (const auto* w : corpus_->by_author(a.first_name, a.last_name)) {
-    if (w->year >= 1994) expected.insert(w->msd().canonical());
+    if (w->year >= 1994) expected.insert(std::string{w->msd().canonical()});
   }
   std::set<std::string> got;
-  for (const auto& msd : results) got.insert(msd.canonical());
+  for (const auto& msd : results) got.insert(std::string{msd.canonical()});
   EXPECT_EQ(got, expected);
 }
 

@@ -107,7 +107,7 @@ TEST(ArticleStream, TitlesAndMsdsAreUnique) {
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const biblio::Article article = stream.article(i);
     titles.insert(article.title);
-    msds.insert(article.msd().canonical());
+    msds.insert(std::string{article.msd().canonical()});
   }
   EXPECT_EQ(titles.size(), stream.size());
   EXPECT_EQ(msds.size(), stream.size());

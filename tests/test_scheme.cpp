@@ -58,14 +58,14 @@ TEST(Scheme, SimpleIndexKeysAreTheExpectedFields) {
   const biblio::Article a = sample_article();
   std::set<std::string> sources;
   for (const Mapping& m : IndexingScheme::simple().mappings_for(a.msd())) {
-    sources.insert(m.source.canonical());
+    sources.insert(std::string{m.source.canonical()});
   }
-  EXPECT_TRUE(sources.contains(a.author_query().canonical()));
-  EXPECT_TRUE(sources.contains(a.title_query().canonical()));
-  EXPECT_TRUE(sources.contains(a.author_title_query().canonical()));
-  EXPECT_TRUE(sources.contains(a.conference_query().canonical()));
-  EXPECT_TRUE(sources.contains(a.year_query().canonical()));
-  EXPECT_TRUE(sources.contains(a.conference_year_query().canonical()));
+  EXPECT_TRUE(sources.contains(std::string{a.author_query().canonical()}));
+  EXPECT_TRUE(sources.contains(std::string{a.title_query().canonical()}));
+  EXPECT_TRUE(sources.contains(std::string{a.author_title_query().canonical()}));
+  EXPECT_TRUE(sources.contains(std::string{a.conference_query().canonical()}));
+  EXPECT_TRUE(sources.contains(std::string{a.year_query().canonical()}));
+  EXPECT_TRUE(sources.contains(std::string{a.conference_year_query().canonical()}));
   // The administrative "size" field is never an index key (Section IV-C).
   for (const std::string& s : sources) {
     EXPECT_EQ(s.find("size"), std::string::npos);
