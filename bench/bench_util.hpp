@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,32 @@
 #include "sim/sweep.hpp"
 
 namespace dhtidx::bench {
+
+/// The terminate handler in place before bench_util.hpp installed its own.
+inline std::terminate_handler previous_terminate_handler = nullptr;
+
+/// A configuration the engine rejects is a usage error. A bench main lets a
+/// sim::UnsupportedConfig escape (from run_cells, parallel_for or
+/// run_simulation); this handler reports it like an unknown argument --
+/// the message on stderr, exit status 2 -- instead of aborting. Any other
+/// uncaught exception goes on to the previous handler.
+[[noreturn]] inline void report_unsupported_config() {
+  try {
+    if (const std::exception_ptr error = std::current_exception()) std::rethrow_exception(error);
+  } catch (const sim::UnsupportedConfig& e) {
+    std::fflush(stdout);
+    std::fprintf(stderr, "usage error: %s\n", e.what());
+    std::_Exit(2);
+  } catch (...) {
+  }
+  if (previous_terminate_handler != nullptr) previous_terminate_handler();
+  std::abort();
+}
+
+/// Installs report_unsupported_config in every binary that includes this
+/// header, before main runs.
+inline const bool unsupported_config_is_usage_error =
+    (previous_terminate_handler = std::set_terminate(report_unsupported_config), true);
 
 /// Command-line options shared by every bench binary.
 struct BenchOptions {

@@ -148,18 +148,22 @@ enum class ConfigAxis { kQueries, kShards, kSubstrate, kTransport, kChurn, kChao
 const char* to_string(ConfigAxis axis);
 
 /// A configuration the engine does not run, rejected before any world is
-/// built rather than silently downgraded. Carries the offending axis.
+/// built rather than silently downgraded. Carries the offending axis. The
+/// message may start with a `context` naming where it was raised (the sweep
+/// runner names the failing cell).
 class UnsupportedConfig : public InvariantError {
  public:
-  UnsupportedConfig(ConfigAxis axis, const std::string& why)
-      : InvariantError(std::string("unsupported configuration (") + to_string(axis) +
-                       "): " + why),
-        axis_(axis) {}
+  UnsupportedConfig(ConfigAxis axis, const std::string& why, const std::string& context = "")
+      : InvariantError(context + "unsupported configuration (" + to_string(axis) + "): " + why),
+        axis_(axis),
+        why_(why) {}
 
   ConfigAxis axis() const { return axis_; }
+  const std::string& why() const { return why_; }
 
  private:
   ConfigAxis axis_;
+  std::string why_;
 };
 
 /// Runs one complete experiment and returns its measurements. Throws

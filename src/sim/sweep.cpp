@@ -42,15 +42,20 @@ const char* substrate_name(Substrate substrate) {
 using json::append_field;
 using json::num;
 
-/// Rethrows `error` wrapped so the message names the failing cell. The
-/// original exception type is preserved for non-std exceptions; everything
-/// derived from std::exception resurfaces as dhtidx::Error (itself a
-/// std::runtime_error, so catch sites keep working).
+/// Rethrows `error` wrapped so the message names the failing cell. A
+/// sim::UnsupportedConfig stays one, axis included, so callers can still
+/// tell a rejected configuration from a failed run; anything else derived
+/// from std::exception resurfaces as dhtidx::Error (itself a
+/// std::runtime_error, so catch sites keep working). Non-std exceptions pass
+/// through unchanged.
 [[noreturn]] void rethrow_named(std::exception_ptr error, std::size_t cell) {
+  const std::string context = "parallel_for: cell " + std::to_string(cell) + " failed: ";
   try {
     std::rethrow_exception(error);
+  } catch (const UnsupportedConfig& e) {
+    throw UnsupportedConfig(e.axis(), e.why(), context);
   } catch (const std::exception& e) {
-    throw Error("parallel_for: cell " + std::to_string(cell) + " failed: " + e.what());
+    throw Error(context + e.what());
   } catch (...) {
     std::rethrow_exception(error);
   }

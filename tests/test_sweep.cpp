@@ -208,6 +208,26 @@ TEST(ParallelFor, SerialPathAlsoNamesTheFailingCell) {
   }
 }
 
+TEST(ParallelFor, RethrowsUnsupportedConfigWithItsAxis) {
+  // A rejected configuration stays typed through the sweep, so a caller can
+  // tell it from a failed run (the benches report it as a usage error); the
+  // message still names the cell. Serial and pooled paths alike.
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    try {
+      parallel_for(jobs, 8, [](std::size_t i) {
+        if (i == 5) throw UnsupportedConfig(ConfigAxis::kQueries, "no queries");
+      });
+      FAIL() << "exception was not propagated";
+    } catch (const UnsupportedConfig& e) {
+      EXPECT_EQ(e.axis(), ConfigAxis::kQueries);
+      EXPECT_EQ(e.why(), "no queries");
+      const std::string what = e.what();
+      EXPECT_NE(what.find("cell 5"), std::string::npos) << what;
+      EXPECT_NE(what.find(to_string(ConfigAxis::kQueries)), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(ParallelFor, FailsFastAfterFirstError) {
   // Cell 0 fails immediately; the other cells take ~1 ms each. Without the
   // abort flag all 10,000 cells would still run; with it, each surviving
