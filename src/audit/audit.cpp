@@ -84,6 +84,17 @@ Auditor::Auditor(dht::Dht& dht, const index::IndexService& service,
     : dht_(dht), service_(service), store_(store), options_(std::move(options)) {}
 
 Report Auditor::run() {
+  // The checks resolve responsibility by routing through the substrate,
+  // which draws each lookup's origin from its RNG. Put that state back
+  // afterwards, so an audited run routes its own lookups exactly as an
+  // unaudited one does.
+  struct RestoreLookupRng {
+    dht::Dht& dht;
+    std::optional<Rng> saved = dht.lookup_rng();
+    ~RestoreLookupRng() {
+      if (saved) dht.restore_lookup_rng(*saved);
+    }
+  } restore{dht_};
   Report report;
   if (options_.check_covering) check_covering(report);
   if (options_.check_reachability) check_reachability(report);

@@ -68,6 +68,8 @@ class CanNetwork : public Dht {
 
   // Dht interface. lookup() greedily routes from a random node.
   LookupResult lookup(const Id& key) override;
+  std::optional<Rng> lookup_rng() const override { return rng_; }
+  void restore_lookup_rng(const Rng& rng) override { rng_ = rng; }
   LookupResult lookup_from(const Id& origin, const Id& key);
   std::vector<Id> node_ids() const override;
   std::size_t size() const override;

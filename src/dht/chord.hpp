@@ -132,6 +132,8 @@ class ChordNetwork : public Dht {
 
   // Dht interface: resolves from a random live node.
   LookupResult lookup(const Id& key) override;
+  std::optional<Rng> lookup_rng() const override { return rng_; }
+  void restore_lookup_rng(const Rng& rng) override { rng_ = rng; }
 
   /// The responsible node followed by live entries of its successor list.
   std::vector<Id> replica_set(const Id& key, std::size_t count) override;

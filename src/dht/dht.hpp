@@ -9,9 +9,11 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/id.hpp"
+#include "common/rng.hpp"
 
 namespace dhtidx::dht {
 
@@ -38,6 +40,14 @@ class Dht {
     (void)count;
     return {lookup(key).node};
   }
+
+  /// The random state lookup() draws from: the protocol substrates start
+  /// each lookup at a random live node. A caller that routes lookups of its
+  /// own outside a measured run (the auditor) saves it and restores it
+  /// afterwards, so the run's lookups start where they would have without
+  /// it. The default, for substrates that draw nothing, is no state.
+  virtual std::optional<Rng> lookup_rng() const { return std::nullopt; }
+  virtual void restore_lookup_rng(const Rng& rng) { (void)rng; }
 
   /// Ids of all live nodes (unspecified order).
   virtual std::vector<Id> node_ids() const = 0;

@@ -116,6 +116,8 @@ class PastryNetwork : public Dht {
   // Dht interface: routes from a random live node. Responsibility is the
   // numerically closest node.
   LookupResult lookup(const Id& key) override;
+  std::optional<Rng> lookup_rng() const override { return rng_; }
+  void restore_lookup_rng(const Rng& rng) override { rng_ = rng; }
   LookupResult lookup_from(const Id& origin, const Id& key);
   std::vector<Id> node_ids() const override;
   std::size_t size() const override;

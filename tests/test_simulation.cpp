@@ -571,10 +571,9 @@ TEST(Simulation, CachedFeedsMatchPinnedDigests) {
 }
 
 /// result_digest plus what only the engine cells below exercise: index and
-/// store totals, churn losses and the chaos counters. Substrate routing
-/// counters are left out: under DHTIDX_AUDIT the post-build audit's own
-/// routed lookups advance the Chord/CAN/Pastry random lookup origins, so the
-/// feed's hop counts differ between audit and normal builds.
+/// store totals, churn losses, the chaos counters and substrate routing. The
+/// routing counters hold in audit builds too: the auditor restores the
+/// substrate's lookup-origin RNG after its own routed lookups.
 std::string engine_digest(const SimulationResults& r) {
   std::string out = result_digest(r);
   char buf[64];
@@ -601,6 +600,10 @@ std::string engine_digest(const SimulationResults& r) {
   count("bus_timeouts", r.bus_timeouts);
   count("bus_duplicates", r.bus_duplicates);
   count("bus_rejected", r.bus_rejected);
+  count("routing_bytes", r.routing_bytes);
+  std::snprintf(buf, sizeof buf, "avg_routing_hops_per_lookup=%.17g\n",
+                r.avg_routing_hops_per_lookup);
+  out += buf;
   return out;
 }
 
@@ -695,7 +698,9 @@ const char* const kChordR2Digest =
     "chaos_frames_corrupted=0\n"
     "bus_timeouts=0\n"
     "bus_duplicates=0\n"
-    "bus_rejected=0\n";
+    "bus_rejected=0\n"
+    "routing_bytes=6165520\n"
+    "avg_routing_hops_per_lookup=18.670914209512521\n";
 const char* const kPastryDigest =
     "avg_interactions=3.0093333333333332\n"
     "normal_traffic_per_query=1337.4186666666667\n"
@@ -782,7 +787,9 @@ const char* const kPastryDigest =
     "chaos_frames_corrupted=0\n"
     "bus_timeouts=0\n"
     "bus_duplicates=0\n"
-    "bus_rejected=0\n";
+    "bus_rejected=0\n"
+    "routing_bytes=1074600\n"
+    "avg_routing_hops_per_lookup=1.9838280903854675\n";
 const char* const kChaosDigest =
     "avg_interactions=2.2663333333333333\n"
     "normal_traffic_per_query=593.26599999999996\n"
@@ -869,7 +876,9 @@ const char* const kChaosDigest =
     "chaos_frames_corrupted=152\n"
     "bus_timeouts=540\n"
     "bus_duplicates=468\n"
-    "bus_rejected=152\n";
+    "bus_rejected=152\n"
+    "routing_bytes=0\n"
+    "avg_routing_hops_per_lookup=0\n";
 const char* const kStreamedFlatDigest =
     "avg_interactions=2.0433333333333334\n"
     "normal_traffic_per_query=1868.7376666666667\n"
@@ -956,7 +965,9 @@ const char* const kStreamedFlatDigest =
     "chaos_frames_corrupted=0\n"
     "bus_timeouts=0\n"
     "bus_duplicates=0\n"
-    "bus_rejected=0\n";
+    "bus_rejected=0\n"
+    "routing_bytes=0\n"
+    "avg_routing_hops_per_lookup=0\n";
 const char* const kStreamedLruMultiDigest =
     "avg_interactions=2.7966666666666669\n"
     "normal_traffic_per_query=1348.3983333333333\n"
@@ -1043,7 +1054,9 @@ const char* const kStreamedLruMultiDigest =
     "chaos_frames_corrupted=0\n"
     "bus_timeouts=0\n"
     "bus_duplicates=0\n"
-    "bus_rejected=0\n";
+    "bus_rejected=0\n"
+    "routing_bytes=0\n"
+    "avg_routing_hops_per_lookup=0\n";
 
 TEST(Simulation, EngineCellsMatchPinnedDigests) {
   SimulationConfig base = small_config(SchemeKind::kSimple, CachePolicy::kNone);
