@@ -137,6 +137,12 @@ Id IndexService::insert_interned(const query::Query* s, const query::Query* t,
     throw InvariantError("index mapping rejected: '" + std::string{s->canonical()} +
                          "' does not cover '" + std::string{t->canonical()} + "'");
   }
+  if (s == t) {
+    // A key mapped to itself is a one-node cycle in the index graph; the
+    // schemes never emit one (IndexingScheme::mappings_for skips them).
+    throw InvariantError("index mapping rejected: '" + std::string{s->canonical()} +
+                         "' maps to itself");
+  }
   // As a build-time operation a placement costs no ledger traffic.
   const std::vector<Id> replicas = placement(s->key());
   if (replicas.empty()) {

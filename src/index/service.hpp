@@ -48,7 +48,8 @@ class IndexService {
         interner_(std::make_unique<query::QueryInterner>()) {}
 
   /// Registers the mapping (source ; target) on the live replica set of
-  /// h(source). Throws InvariantError when source does not cover target.
+  /// h(source). Throws InvariantError when source does not cover target or
+  /// equals it.
   /// Build-time operation: does not count into the per-query traffic ledger.
   /// `now` is the publisher's logical time: re-inserting refreshes the
   /// mapping's soft-state stamp. Returns the first node that stores the
