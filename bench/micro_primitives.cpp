@@ -10,6 +10,9 @@
 //   {"bench":"micro_primitives","name":"BM_...","ns_per_op":...,"iterations":...}
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
 #include "biblio/corpus.hpp"
 #include "biblio/stream.hpp"
 #include "common/json.hpp"
@@ -94,9 +97,9 @@ void BM_QueryMatches(benchmark::State& state) {
 BENCHMARK(BM_QueryMatches);
 
 // Copying a flat most-specific query: what every mapping, pending intern
-// request and cache entry built from an article pays. Short constraint paths
-// sit in their string's inline buffer, so only values and the constraint
-// array allocate.
+// request and cache entry built from an article pays. A query is one
+// buffer, so a copy is one allocation and one memcpy, memoized key
+// included.
 void BM_QueryCopy(benchmark::State& state) {
   biblio::Article a;
   a.first_name = "John";
@@ -134,6 +137,73 @@ void BM_InternerTeardown(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_InternerTeardown)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+// Interner probes as the build and the feed make them, against a pool of the
+// MSDs of 100k streamed articles: a query equal to a pooled one but another
+// object (hit), and a query the pool lacks (miss). A probe hashes the
+// canonical bytes and compares them on a 32-bit hash match; no SHA-1.
+const query::QueryInterner& probe_pool() {
+  static const query::QueryInterner pool = [] {
+    biblio::CorpusConfig config;
+    config.articles = 100000;
+    const biblio::ArticleStream stream{config};
+    query::QueryInterner interner;
+    for (std::size_t i = 0; i < stream.size(); ++i) interner.intern(stream.article(i).msd());
+    return interner;
+  }();
+  return pool;
+}
+
+/// 1024 MSDs of streamed articles [first, first + 1024).
+std::vector<query::Query> probe_queries(std::size_t first) {
+  biblio::CorpusConfig config;
+  config.articles = first + 1024;
+  const biblio::ArticleStream stream{config};
+  std::vector<query::Query> queries;
+  for (std::size_t i = first; i < stream.size(); ++i) queries.push_back(stream.article(i).msd());
+  return queries;
+}
+
+void BM_InternProbeHit(benchmark::State& state) {
+  const query::QueryInterner& pool = probe_pool();
+  const std::vector<query::Query> probes = probe_queries(0);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pool.find_existing(probes[i++ % probes.size()]));
+  }
+}
+BENCHMARK(BM_InternProbeHit);
+
+void BM_InternProbeMiss(benchmark::State& state) {
+  const query::QueryInterner& pool = probe_pool();
+  const std::vector<query::Query> probes = probe_queries(100000);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pool.find_existing(probes[i++ % probes.size()]));
+  }
+}
+BENCHMARK(BM_InternProbeMiss);
+
+// The covering test of next-hop selection: a streamed request's query
+// against its target MSD (true), and against the next article's MSD
+// (mostly false), alternating over 1024 requests.
+void BM_CoversMsd(benchmark::State& state) {
+  const biblio::ArticleStream stream{biblio::CorpusConfig{}};
+  const workload::StreamingWorkload workload{stream, 7};
+  std::vector<std::pair<query::Query, query::Query>> pairs;
+  for (std::uint64_t i = 0; i < 1024; ++i) {
+    workload::StreamingRequest request = workload.request_at(i);
+    pairs.emplace_back(request.query, std::move(request.target_msd));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [q, msd] = pairs[i % pairs.size()];
+    const auto& other = pairs[(i + 1) % pairs.size()].second;
+    benchmark::DoNotOptimize(q.covers(i % 2 == 0 ? msd : other));
+    ++i;
+  }
+}
+BENCHMARK(BM_CoversMsd);
 
 // Streaming generators (biblio/stream.hpp, workload/streaming.hpp): the cost
 // of synthesizing one article / one query request from its counter. This is

@@ -234,9 +234,9 @@ const char* Query::text() const { return buf_ + sizeof(Header) + header()->count
 
 std::size_t Query::size() const { return buf_ == nullptr ? 0 : header()->count; }
 
-ConstraintView Query::view_at(std::size_t i) const {
-  const Slot& slot = slots()[i];
-  const char* t = text();
+ConstraintView Query::view_at(std::size_t i) const { return view_of(slots()[i], text()); }
+
+ConstraintView Query::view_of(const Slot& slot, const char* t) {
   ConstraintView c;
   c.path = std::string_view{t + slot.path_off, slot.path_len};
   if (slot.value_off != 0) c.value.emplace(t + slot.value_off, slot.value_len);
@@ -433,35 +433,49 @@ bool Query::matches(const xml::Element& doc) const {
   return true;
 }
 
-bool constraint_implies(const ConstraintView& specific, const ConstraintView& general) {
-  // Value: a presence requirement is implied by anything on the same field.
-  // An exact requirement needs the identical exact value. A prefix
-  // requirement is implied by any exact value or longer/equal prefix that
-  // begins with it ([last^=S] is implied by [last=Smith] and [last^=Smi]).
-  if (general.value) {
-    if (!specific.value) return false;
-    if (general.value_is_prefix) {
-      if (specific.value_is_prefix && specific.value->size() < general.value->size()) {
-        return false;  // shorter prefix is weaker, not stronger
-      }
-      if (!starts_with(*specific.value, *general.value)) return false;
-    } else {
-      if (specific.value_is_prefix || *specific.value != *general.value) return false;
+namespace {
+
+/// The value half of constraint_implies. A presence requirement is implied
+/// by anything on the same field. An exact requirement needs the identical
+/// exact value. A prefix requirement is implied by any exact value or
+/// longer/equal prefix that begins with it ([last^=S] is implied by
+/// [last=Smith] and [last^=Smi]).
+bool value_implies(std::optional<std::string_view> specific, bool specific_is_prefix,
+                   const ConstraintView& general) {
+  if (!general.value) return true;
+  if (!specific) return false;
+  if (general.value_is_prefix) {
+    if (specific_is_prefix && specific->size() < general.value->size()) {
+      return false;  // shorter prefix is weaker, not stronger
     }
+    return starts_with(*specific, *general.value);
   }
-  // Path location. `general` belongs to the covering (weaker) query, so its
-  // path pattern must be satisfied wherever `specific` pins the field.
-  if (!general.descendant && !specific.descendant) {
-    return path_matches_exact(general.path, specific.path);
+  return !specific_is_prefix && *specific == *general.value;
+}
+
+/// The path half of constraint_implies. `general` belongs to the covering
+/// (weaker) query, so its path pattern must be satisfied wherever the
+/// specific constraint pins the field.
+bool path_implies(std::string_view specific, bool specific_is_descendant,
+                  const ConstraintView& general) {
+  if (!general.descendant && !specific_is_descendant) {
+    return path_matches_exact(general.path, specific);
   }
   if (general.descendant) {
     // general's path can match at any depth; specific pins an exact path (or
     // itself floats, in which case suffix matching is still the sound check).
-    return path_matches_suffix(general.path, specific.path);
+    return path_matches_suffix(general.path, specific);
   }
   // general is anchored but specific floats: a document can satisfy the
   // floating constraint at a different position, so no implication.
   return false;
+}
+
+}  // namespace
+
+bool constraint_implies(const ConstraintView& specific, const ConstraintView& general) {
+  return value_implies(specific.value, specific.value_is_prefix, general) &&
+         path_implies(specific.path, specific.descendant, general);
 }
 
 bool Query::covers(const Query& other) const {
@@ -469,12 +483,25 @@ bool Query::covers(const Query& other) const {
   if (r != "*" && r != other.root()) return false;
   const std::size_t n = size();
   const std::size_t m = other.size();
+  if (n == 0) return true;
+  if (m == 0) return false;
+  const Slot* const own_slots = slots();
+  const char* const own_text = text();
+  const Slot* const their_slots = other.slots();
+  const char* const t = other.text();
   for (std::size_t i = 0; i < n; ++i) {
-    const ConstraintView general = view_at(i);
-    bool implied = false;
-    for (std::size_t j = 0; j < m && !implied; ++j) {
-      implied = constraint_implies(other.view_at(j), general);
-    }
+    const ConstraintView general = view_of(own_slots[i], own_text);
+    // constraint_implies against each slot of `other`, read lazily: the
+    // value test, which rejects most pairs, needs only the value bytes.
+    const bool exact = general.value && !general.value_is_prefix;
+    const bool implied = std::any_of(their_slots, their_slots + m, [&](const Slot& s) {
+      if (exact && s.value_len != general.value->size()) return false;  // the common miss
+      const std::optional<std::string_view> value =
+          s.value_off == 0 ? std::nullopt
+                           : std::optional<std::string_view>{{t + s.value_off, s.value_len}};
+      return value_implies(value, t[s.path_off + s.path_len] == '^', general) &&
+             path_implies({t + s.path_off, s.path_len}, t[s.path_off - 1] == '/', general);
+    });
     if (!implied) return false;
   }
   return true;

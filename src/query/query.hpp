@@ -221,6 +221,7 @@ class Query {
   const char* text() const;
   std::size_t size() const;
   ConstraintView view_at(std::size_t i) const;
+  static ConstraintView view_of(const Slot& slot, const char* text);
 
   char* buf_ = nullptr;  // nullptr: the empty query "/"
 };
