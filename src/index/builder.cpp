@@ -9,7 +9,7 @@ namespace dhtidx::index {
 
 const std::vector<IndexBuilder::InternedMapping>& IndexBuilder::plan_for(
     const query::Query& msd) {
-  const auto it = plans_.find(std::string{msd.canonical()});
+  const auto it = plans_.find(msd.canonical());
   if (it != plans_.end()) return it->second;
   query::QueryInterner& interner = service_.interner();
   std::vector<Mapping> raw = scheme_.mappings_for(msd);

@@ -7,7 +7,9 @@
 // paper describes for read/write systems.
 #pragma once
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -86,8 +88,16 @@ class IndexBuilder {
   storage::DhtStore& store_;
   IndexingScheme scheme_;
   FieldDictionary* dictionary_ = nullptr;
+  /// Transparent string hash: plans_ is probed with canonical views.
+  struct CanonicalHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view text) const {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
   // dhtidx-lint: allow(hot-path-map) "build-time plan staging probed by exact canonical key and never iterated, so the unordered layout is unobservable"
-  std::unordered_map<std::string, std::vector<InternedMapping>> plans_;
+  std::unordered_map<std::string, std::vector<InternedMapping>, CanonicalHash, std::equal_to<>>
+      plans_;
 };
 
 }  // namespace dhtidx::index

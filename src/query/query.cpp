@@ -194,7 +194,7 @@ char* write_quoted(char* out, std::string_view value) {
 }
 
 char* write(char* out, std::string_view text) {
-  std::memcpy(out, text.data(), text.size());
+  if (!text.empty()) std::memcpy(out, text.data(), text.size());  // data() may be null
   return out + text.size();
 }
 
