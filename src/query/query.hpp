@@ -58,9 +58,6 @@ struct Constraint {
   bool descendant = false;            ///< true for // paths
   bool value_is_prefix = false;       ///< value is a prefix pattern (^= syntax)
 
-  /// "author/last" rendering of the path.
-  const std::string& path_string() const { return path; }
-
   /// The top-level field: the path up to its first '/'.
   std::string_view first_step() const {
     return std::string_view{path}.substr(0, path.find('/'));
@@ -105,7 +102,9 @@ struct ConstraintView {
     return c;
   }
 
+  /// "author/last" rendering of the path.
   std::string_view path_string() const { return path; }
+  /// The top-level field: the path up to its first '/'.
   std::string_view first_step() const { return path.substr(0, path.find('/')); }
 
   /// Orders by path, then value, descendant, value_is_prefix. Paths compare
@@ -262,7 +261,6 @@ class Query::ConstraintRange {
   bool empty() const { return n_ == 0; }
   ConstraintView operator[](std::size_t i) const { return q_->view_at(i); }
   ConstraintView front() const { return q_->view_at(0); }
-  ConstraintView back() const { return q_->view_at(n_ - 1); }
   iterator begin() const { return {q_, 0}; }
   iterator end() const { return {q_, n_}; }
 
